@@ -34,7 +34,7 @@ from .identities import (
     words_of_weight,
 )
 from .interpolate import s_t, zeta_t_words
-from .numeric import eval_element, kernel_name, mzsv, verify_identity
+from .numeric import BOUND, METHOD, eval_element, kernel_name, mzsv, verify_identity
 from .reduction import verify_csf_reduction, verify_sf_reduction
 
 _PRODUCTS = {
@@ -49,6 +49,13 @@ def _fraction(text):
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed rational {text!r} (write p/q)") from None
+
+
+def _block_sizes(text):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(f"malformed block sizes {text!r} (write j1,j2,...)") from None
 
 
 def _emit(args, human, record):
@@ -90,7 +97,7 @@ def _cmd_eval(args):
     res = eval_element(zeta_t_words(idx), t, args.M)
     human = (
         f"zeta^t({idx}) at t={t}, M={args.M}: "
-        f"value={res.value!r} err<={res.err:.3e} [{kernel_name()} kernel]"
+        f"value={res.value!r} err<={res.err:.3e} [{METHOD}]"
     )
     record = {
         "index": str(idx),
@@ -99,6 +106,8 @@ def _cmd_eval(args):
         "value": res.value,
         "err": res.err,
         "kernel": kernel_name(),
+        "method": METHOD,
+        "bound": BOUND,
     }
     _emit(args, human, record)
     return 0
@@ -186,7 +195,7 @@ def _cmd_verify_alt_sum(args):
 
 
 def _cmd_verify_two_one(args):
-    js = [int(x) for x in args.j.split(",")]
+    js = _block_sizes(args.j)
     idx = two_one_lhs_index(js)
     word, scale = two_one_rhs_word(js)
     lhs = mzsv(idx, args.M)

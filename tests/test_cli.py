@@ -61,6 +61,17 @@ def test_eval_json_record(capsys):
     assert record["kernel"] in {"compiled", "python"}
 
 
+def test_eval_reports_method_and_bound_kind(capsys):
+    code, out, _ = run_lines(capsys, ["eval", "--index", "2,1", "--t", "1/2", "--json"])
+    assert code == 0
+    record = json.loads(out[0])
+    assert record["method"] == "convolution" and record["bound"] == "rigorous"
+    code, out, _ = run_lines(capsys, ["eval", "--index", "2,1", "--t", "1/2"])
+    assert code == 0
+    assert out[0].endswith("[convolution]")
+    assert "value=1.8030853547393915" in out[0]
+
+
 def test_eval_interpolates_between_strict_and_star(capsys):
     code, out, _ = run_lines(
         capsys, ["eval", "--index", "2,1", "--t", "1/2", "--M", "5000", "--json"]
@@ -123,6 +134,12 @@ def test_divergent_eval_exits_two(capsys):
     code, _, err = run_lines(capsys, ["eval", "--index", "1,2", "--M", "100"])
     assert code == 2
     assert "divergent" in err
+
+
+def test_malformed_block_sizes_exit_two(capsys):
+    code, _, err = run_lines(capsys, ["verify", "two-one", "--j", "x"])
+    assert code == 2
+    assert "malformed block sizes" in err and "invalid literal" not in err
 
 
 def test_malformed_rational_exits_two(capsys):

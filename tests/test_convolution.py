@@ -1,0 +1,101 @@
+"""Hölder-convolution evaluator: proved error bounds against independent
+oracles (closed forms, the truncated nested sums, exact tails)."""
+
+from fractions import Fraction
+
+import pytest
+
+from izeta.algebra import FormalSum, Index, Word
+from izeta.numeric import _checkpoints, _tail_bound, eval_element, mzsv, mzv
+
+from helpers import admissible_tuples
+
+mpmath = pytest.importorskip("mpmath")
+mpmath.mp.dps = 30
+zeta, pi = mpmath.zeta, mpmath.pi
+
+CLOSED_FORMS = [
+    (mzv, (2,), zeta(2)),
+    (mzv, (3,), zeta(3)),
+    (mzv, (2, 1), zeta(3)),
+    (mzv, (3, 1), pi**4 / 360),
+    (mzv, (2, 2, 2), pi**6 / 5040),
+    (mzv, (2, 1, 1), zeta(4)),
+    (mzsv, (2, 1), 2 * zeta(3)),
+    (mzsv, (3, 1), pi**4 / 72),
+    (mzsv, (2, 2), 7 * pi**4 / 360),
+]
+
+
+@pytest.mark.parametrize("fn, parts, reference", CLOSED_FORMS)
+def test_closed_forms_lie_inside_a_tight_proved_bound(fn, parts, reference):
+    r = fn(Index(parts), 10**6)
+    assert abs(mpmath.mpf(r.value) - reference) <= r.err <= 1e-14 * abs(r.value)
+
+
+@pytest.mark.parametrize("fn, parts, reference", CLOSED_FORMS)
+def test_a_reference_moved_by_1e_12_falls_outside_the_bound(fn, parts, reference):
+    r = fn(Index(parts), 10**6)
+    assert abs(mpmath.mpf(r.value) - reference * (1 + mpmath.mpf("1e-12"))) > r.err
+
+
+@pytest.mark.parametrize("fn, parts, reference", CLOSED_FORMS)
+def test_bound_covers_the_true_error_when_few_terms_are_summed(fn, parts, reference):
+    for M in (4, 8, 16):
+        r = fn(Index(parts), M)
+        assert abs(mpmath.mpf(r.value) - reference) <= r.err, M
+
+
+def test_agrees_with_truncation_and_richardson_on_all_indices_up_to_weight_7():
+    M = 20_000
+    indices = admissible_tuples(7)
+    assert len(indices) == 63
+    for parts in indices:
+        full, half, quarter = _checkpoints(parts, M, True)
+        extrapolated = 2.0 * full - half
+        spread_err = 5.0 * abs(extrapolated - (2.0 * half - quarter))
+        r = mzv(Index(parts), M)
+        assert abs(r.value - extrapolated) <= spread_err + r.err, parts
+
+
+def exact_tail(parts, N, extra=80):
+    """Terms N < n1 <= N + extra of Li_parts(1/2) as an exact Fraction; the
+    terms past N + extra are 2^-80 smaller than these."""
+    L = N + extra
+    inner = [Fraction(1)] * (L + 1)
+    for a in reversed(parts[1:]):
+        cur, s = [Fraction(0)], Fraction(0)
+        for m in range(1, L + 1):
+            s += inner[m - 1] / m**a
+            cur.append(s)
+        inner = cur
+    return sum(inner[n - 1] / (n ** parts[0] * 2**n) for n in range(N + 1, L + 1))
+
+
+@pytest.mark.parametrize("N", [4, 8, 16])
+def test_tail_bound_covers_the_exact_tail(N):
+    for depth in range(1, 5):
+        for head in (1, 2, 3):
+            bound = Fraction(_tail_bound(head, depth, N))
+            # inner exponents 1 are the worst case the bound allows for,
+            # and there it stays within a factor 10
+            worst = exact_tail((head,) + (1,) * (depth - 1), N)
+            assert worst <= bound <= 10 * worst, (head, depth, N)
+            assert exact_tail((head,) + (2,) * (depth - 1), N) <= bound
+
+
+def test_truncation_point_semantics():
+    big, huge = mzv(Index((2, 1, 1)), 10**3), mzv(Index((2, 1, 1)), 10**6)
+    assert (big.value, big.err) == (huge.value, huge.err)
+    with pytest.raises(ValueError, match="below depth"):
+        mzv(Index((2, 1)), 1)
+    small = mzv(Index((2, 1)), 5)
+    assert small.err > 1e3 * huge.err
+    assert abs(mpmath.mpf(small.value) - zeta(3)) <= small.err
+
+
+def test_exact_summation_keeps_a_cancelling_combination_below_double_precision():
+    # zeta(2,1) = zeta(3): the two convolutions cancel far below one ulp
+    e = FormalSum.from_word(Word((2, 1))) - FormalSum.from_word(Word((3,)))
+    r = eval_element(e, 0, 10**6)
+    assert abs(r.value) <= r.err <= 1e-25

