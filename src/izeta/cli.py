@@ -35,7 +35,7 @@ from .identities import (
 )
 from .interpolate import s_t, zeta_t_words
 from .numeric import BOUND, METHOD, eval_element, kernel_name, mzsv, verify_identity
-from .reduction import verify_csf_reduction, verify_sf_reduction
+from .reduction import certificate_records, verify_csf_reduction, verify_sf_reduction
 
 _PRODUCTS = {
     "harmonic": harmonic_product,
@@ -58,11 +58,26 @@ def _block_sizes(text):
         raise ValueError(f"malformed block sizes {text!r} (write j1,j2,...)") from None
 
 
+# POSIX makes a pipe write of at most PIPE_BUF (>= 512) bytes atomic.
+_ATOMIC_WRITE = 512
+
+
+def _write(text):
+    """Print `text` and a newline to stdout in atomic slices.
+
+    With unbuffered stdout (`python -u`, PYTHONUNBUFFERED) each write goes
+    straight to the file.  A long write to a pipe that a signal interrupts
+    returns a short count, and the text layer drops the rest without an
+    error; a write of at most PIPE_BUF bytes is never cut.  The output is
+    ASCII, so characters are bytes.
+    """
+    text += "\n"
+    for i in range(0, len(text), _ATOMIC_WRITE):
+        sys.stdout.write(text[i : i + _ATOMIC_WRITE])
+
+
 def _emit(args, human, record):
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(human)
+    _write(json.dumps(record, sort_keys=True) if args.json else human)
 
 
 def _cmd_expand(args):
@@ -114,17 +129,18 @@ def _cmd_eval(args):
 
 
 def _print_certs(args, suite, certs, extra_records=()):
-    ok = all(c.success and c.verify() for c in certs)
-    records = [c.to_record() for c in certs]
+    oks = [c.success and c.verify() for c in certs]
+    ok = all(oks)
     if args.json:
-        doc = {"suite": suite, "checks": records, "ok": ok}
+        doc = {"suite": suite, "checks": certificate_records(certs), "ok": ok}
         if extra_records:
             doc["numeric"] = list(extra_records)
-        print(json.dumps(doc, sort_keys=True))
+        _write(json.dumps(doc, sort_keys=True))
     else:
-        for c in certs:
-            print(("ok   " if c.success and c.verify() else "FAIL ") + c.label)
-        print(f"{suite}: {len(certs)} certificates, {'all ok' if ok else 'FAILURES'}")
+        lines = [("ok   " if v else "FAIL ") + c.label for c, v in zip(certs, oks)]
+        verdict = "all ok" if ok else "FAILURES"
+        lines.append(f"{suite}: {len(certs)} certificates, {verdict}")
+        _write("\n".join(lines))
     return ok
 
 

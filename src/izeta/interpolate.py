@@ -5,20 +5,28 @@ contracting adjacent letters into blocks, the contracted word weighted by
 t^(number of merges).  At t = 0 it is the identity; at t = 1 it sends the
 generating series of strict nested sums to that of non-strict ones.  All
 routines here are Q[t]-linear in their formal-sum argument.
+
+One word's image comes from the first-letter recursion
+S(a u) = a S(u) + t (a o S(u)), where a o merges the letter a into the
+head of each word, memoised on the tail u (Hoffman, *Quasi-shuffle
+products*, J. Algebraic Combin. 11 (2000)).  Its 2^(n-1) words are
+distinct, each with one monomial t^sigma, so `s_t`, `s_poly` and
+`s_alpha` only shift degrees or multiply by alpha^sigma.
+`enumerate_contractions` lists the same patterns explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
+from math import comb
 
 from .algebra import (
     FormalSum,
     Index,
     RatPoly,
-    T,
     Word,
+    _as_exact,
     as_sum,
     substitute_t,
 )
@@ -70,13 +78,18 @@ def enumerate_contractions(w):
 
 @cache
 def _s_t_word(w: Word) -> FormalSum:
-    if w.depth == 0:
-        return FormalSum.unit()
+    """The operator on one word by the first-letter recursion.  Distinct
+    contraction patterns give distinct words (a word's partial sums
+    determine it), so every coefficient is one monomial t^sigma."""
+    if w.depth <= 1:
+        return FormalSum.from_word(w)
+    a = w.letters[0]
     acc = {}
-    for con, u in enumerate_contractions(w):
-        p = RatPoly({con.sigma: 1})
-        q = acc.get(u)
-        acc[u] = p if q is None else q + p
+    for u, mono in _s_t_word(Word(w.letters[1:])).terms.items():
+        head, rest = u.letters[0], u.letters[1:]
+        acc[Word((a, head) + rest)] = mono
+        (sigma,) = mono.coeffs
+        acc[Word((a + head,) + rest)] = RatPoly({sigma + 1: 1})
     return FormalSum(acc)
 
 
@@ -95,38 +108,60 @@ def s_poly(e, param):
     for w, c in as_sum(e).terms.items():
         for u, mono in _s_t_word(w).terms.items():
             # coefficients of the word-level expansion are monomials
-            # m * t^sigma; replace t^sigma by param^sigma
-            for sig, m in mono.coeffs.items():
-                p = c * (ppow(sig) * m)
-                q = out.get(u)
-                out[u] = p if q is None else q + p
+            # t^sigma; replace t^sigma by param^sigma
+            (sigma,) = mono.coeffs
+            p = c * ppow(sigma)
+            q = out.get(u)
+            out[u] = p if q is None else q + p
     return FormalSum(out)
 
 
 def s_t(e):
-    """The interpolation operator itself (parameter t)."""
-    return s_poly(e, T)
+    """The interpolation operator itself (parameter t): each word's
+    monomial t^sigma shifts the degrees of its coefficient by sigma."""
+    out = {}
+    for w, c in as_sum(e).terms.items():
+        for u, mono in _s_t_word(w).terms.items():
+            (sigma,) = mono.coeffs
+            acc = out.setdefault(u, {})
+            for deg, x in c.coeffs.items():
+                acc[deg + sigma] = acc.get(deg + sigma, 0) + x
+    return FormalSum({u: RatPoly(p) for u, p in out.items()})
 
 
 def s_alpha(e, alpha):
-    """The operator at an exact rational parameter value: s_t followed by
-    substitution of alpha for t everywhere."""
-    return substitute_t(s_t(e), alpha)
+    """The operator at an exact rational parameter value, equal to s_t
+    followed by substitution of alpha for t: a term c(t) w contributes
+    c(alpha) alpha^sigma to each contraction of w with sigma merges.  At
+    alpha = 0 only the uncontracted words survive."""
+    alpha = _as_exact(alpha)
+    if not alpha:
+        return substitute_t(e, 0)
+    powers = [1]
+    out = {}
+    for w, c in as_sum(e).terms.items():
+        value = c.evaluate(alpha)
+        if not value:
+            continue
+        for u, mono in _s_t_word(w).terms.items():
+            (sigma,) = mono.coeffs
+            while len(powers) <= sigma:
+                powers.append(powers[-1] * alpha)
+            out[u] = out.get(u, 0) + value * powers[sigma]
+    return FormalSum(out)
 
 
 @cache
 def log_s(w: Word) -> FormalSum:
     """Logarithm of the operator family, normalized at parameter 1: the
-    sum of all single-merge contractions of w.  Zero on letters."""
+    sum of the n - 1 single merges of adjacent letters of w.  Zero on
+    letters."""
     if w.depth == 0:
         raise ValueError("unit has no contractions")
-    acc = {}
-    for con, u in enumerate_contractions(w):
-        if con.sigma != 1:
-            continue
-        q = acc.get(u)
-        acc[u] = RatPoly(1) if q is None else q + 1
-    return FormalSum(acc)
+    x = w.letters
+    return FormalSum(
+        (Word(x[:i] + (x[i] + x[i + 1],) + x[i + 2 :]), 1) for i in range(len(x) - 1)
+    )
 
 
 def d_dt(e):
@@ -137,21 +172,25 @@ def d_dt(e):
 def taylor_shift(e, alpha):
     """Coefficients of e as a polynomial in (t - alpha).
 
-    Returns the finite list a_0, a_1, ... of t-free formal sums with
-    a_k = (d/dt)^k e |_{t=alpha} / k!.
+    Returns the t-free formal sums a_0, ..., a_d, d the largest degree
+    in t of a coefficient of e (just a_0 = 0 for e = 0), with
+    a_k = (d/dt)^k e |_{t=alpha} / k!.  Each term c_j t^j re-expands once
+    by the binomial theorem, a_k = sum_j c_j C(j, k) alpha^(j-k); at
+    alpha = 0 this splits e by degree.
     """
-    out = []
-    cur = as_sum(e)
-    k = 0
-    fact = 1
-    while True:
-        out.append(substitute_t(cur, alpha) * Fraction(1, fact))
-        cur = d_dt(cur)
-        if cur.is_zero():
-            break
-        k += 1
-        fact *= k
-    return out
+    alpha = _as_exact(alpha)
+    e = as_sum(e)
+    degree = max((p.degree for p in e.terms.values()), default=0)
+    parts = [{} for _ in range(degree + 1)]
+    for w, p in e.terms.items():
+        for j, c in p.coeffs.items():
+            if not alpha:
+                parts[j][w] = c
+                continue
+            for k in range(j + 1):
+                part = parts[k]
+                part[w] = part.get(w, 0) + c * comb(j, k) * alpha ** (j - k)
+    return [FormalSum(part) for part in parts]
 
 
 def index_expansions(idx):
@@ -160,25 +199,12 @@ def index_expansions(idx):
     This is the expansion underlying the interpolated zeta values: each
     gap of the index is either kept (comma) or summed through (plus).
     """
-    parts = idx.parts
-    n = idx.depth
-    for mask in range(1 << (n - 1)):
-        merged = [parts[0]]
-        for gap in range(1, n):
-            if (mask >> (n - 1 - gap)) & 1:
-                merged[-1] += parts[gap]
-            else:
-                merged.append(parts[gap])
-        yield Index(merged), n - len(merged)
+    for u, mono in _s_t_word(idx.to_word()).terms.items():
+        (sigma,) = mono.coeffs
+        yield Index(u.letters), sigma
 
 
 def zeta_t_words(idx):
     """The interpolated zeta value of `idx` written out as a formal sum:
     every merge pattern of the index, weighted by t^merges."""
-    acc = {}
-    for sub, sigma in index_expansions(idx):
-        w = sub.to_word()
-        p = RatPoly({sigma: 1})
-        q = acc.get(w)
-        acc[w] = p if q is None else q + p
-    return FormalSum(acc)
+    return _s_t_word(idx.to_word())

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import FormalSum, Word, as_sum
+from .algebra import FormalSum, Word, _as_exact, as_sum
 from .identities import (
     csf_generator,
     cyclic_C,
@@ -54,22 +54,34 @@ class RelationCertificate:
         return self.coefficients is not None
 
     def verify(self):
-        """Exact re-substitution: target - sum(c_i * g_i) == 0."""
+        """Exact re-substitution: target - sum(c_i * g_i) == 0, summed
+        coefficient by coefficient of each (word, power of t)."""
         if self.coefficients is None:
             return False
-        acc = self.target
+        acc = {}  # (letters, power of t) -> coefficient
+        for w, p in self.target.terms.items():
+            for e, x in p.coeffs.items():
+                acc[w.letters, e] = x
         for c, g in zip(self.coefficients, self.generators):
             if c:
-                acc = acc - as_sum(g) * c
-        return acc.is_zero()
+                c = _as_exact(c)
+                for w, p in as_sum(g).terms.items():
+                    for e, x in p.coeffs.items():
+                        key = w.letters, e
+                        acc[key] = acc.get(key, 0) - c * x
+        return not any(acc.values())
 
     def to_record(self):
         """Machine-readable dict; rationals rendered as p/q strings, with
         an explicit FAILURE marker when the target fell outside the span."""
+        return self._record([str(g) for g in self.generators])
+
+    def _record(self, generators):
+        """`to_record` with the generator list already rendered."""
         return {
             "label": self.label,
             "target": str(self.target),
-            "generators": [str(g) for g in self.generators],
+            "generators": generators,
             "coefficients": "FAILURE"
             if self.coefficients is None
             else [str(Fraction(c)) for c in self.coefficients],
@@ -135,7 +147,25 @@ class SpanSolver:
         vec, combo = self._reduce(_vectorize(target), {})
         if vec:
             return None
-        return [-combo.get(i, Fraction(0)) for i in range(len(self.generators))]
+        coeffs = [Fraction(0)] * len(self.generators)
+        for i, c in combo.items():
+            coeffs[i] = -c
+        return coeffs
+
+
+def certificate_records(certs):
+    """`to_record()` of each certificate, rendering a generator list once
+    however many certificates share it (as all certificates from one
+    `verify_*_reduction` call do)."""
+    rendered = {}
+    records = []
+    for cert in certs:
+        generators = rendered.get(id(cert.generators))
+        if generators is None:
+            generators = [str(g) for g in cert.generators]
+            rendered[id(cert.generators)] = generators
+        records.append(cert._record(generators))
+    return records
 
 
 def span_membership(target, generators, label=""):

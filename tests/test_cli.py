@@ -1,7 +1,14 @@
 """Command-line surface: verbs, output forms, exit codes."""
 
+import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +163,63 @@ def test_unknown_verb_exits_two(capsys):
 def test_missing_required_option_exits_two(capsys):
     assert cli.run(["st"]) == 2
     capsys.readouterr()
+
+
+# Digests of stdout recorded before the certificate path was rewritten;
+# the same under every PYTHONHASHSEED.
+PINNED_STDOUT = {
+    ("verify", "cyclic", "--k", "6", "--json"):
+        "1af9f13be2374855146af443b71c7050d8f1af50b05120ef032dae2508a49100",
+    ("verify", "sum-formula", "--k", "9", "--json"):
+        "ff4656219a75f9ce681e8286cb69979af0edf2570060f352f3d30466150ae34d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_certificate_output_is_pinned_byte_for_byte(capsys, argv):
+    assert cli.run(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_each_certificate_is_verified_once(capsys, monkeypatch):
+    calls = []
+    verify = RelationCertificate.verify
+    monkeypatch.setattr(
+        RelationCertificate, "verify", lambda self: calls.append(self) or verify(self)
+    )
+    code, out, _ = run_lines(capsys, ["verify", "cyclic", "--k", "4"])
+    assert code == 0
+    assert len(calls) == len(out) - 1 == len({id(c) for c in calls})
+
+
+_CLI_UNDER_SIGNALS = """
+import signal, sys
+from izeta import cli
+signal.signal(signal.SIGALRM, lambda *_: None)
+signal.setitimer(signal.ITIMER_REAL, 0.002, 0.002)
+try:
+    code = cli.run(sys.argv[1:])
+finally:
+    signal.setitimer(signal.ITIMER_REAL, 0)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs interval timers")
+def test_json_survives_signals_while_stdout_blocks():
+    # Unbuffered stdout, a timer signal every 2 ms, and a reader that waits
+    # until the pipe is long full: no long write may be cut short.
+    argv = ("verify", "sum-formula", "--k", "9", "--json")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    child = subprocess.Popen(
+        [sys.executable, "-u", "-c", _CLI_UNDER_SIGNALS, *argv],
+        stdout=subprocess.PIPE,
+        env=env,
+    )
+    time.sleep(1.5)
+    out, _ = child.communicate(timeout=120)
+    assert child.returncode == 0
+    assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]

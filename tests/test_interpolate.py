@@ -1,6 +1,7 @@
 """Interpolation operator: contractions, S images, log, shifts, expansions."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from izeta.algebra import (
     t_harmonic_product,
 )
 from izeta.interpolate import (
+    _s_t_word,
     d_dt,
     enumerate_contractions,
     index_expansions,
@@ -197,3 +199,106 @@ def test_zeta_t_words_equals_operator_image():
 def test_interpolation_intertwines_the_products(u, v):
     eu, ev = FormalSum.from_word(Word(u)), FormalSum.from_word(Word(v))
     assert s_t(t_harmonic_product(eu, ev)) == harmonic_product(s_t(eu), s_t(ev))
+
+
+# ------------------------------------- brute-force oracles on raw tuples
+
+
+def brute_contractions(letters):
+    """Every merge pattern of a letter tuple, by bitmask over the gaps:
+    {contracted tuple: {merges: multiplicity}}."""
+    n = len(letters)
+    out = {}
+    for mask in range(1 << max(n - 1, 0)):
+        blocks = [letters[0]]
+        for gap in range(1, n):
+            if (mask >> (gap - 1)) & 1:
+                blocks[-1] += letters[gap]
+            else:
+                blocks.append(letters[gap])
+        poly = out.setdefault(tuple(blocks), {})
+        sigma = n - len(blocks)
+        poly[sigma] = poly.get(sigma, 0) + 1
+    return out
+
+
+def brute_s_alpha(terms, alpha):
+    """Sum of c(alpha) alpha^sigma over every contraction of every term of
+    {letter tuple: {t exponent: coefficient}}; {letter tuple: Fraction}."""
+    out = {}
+    for letters, poly in terms.items():
+        value = sum(Fraction(c) * Fraction(alpha) ** e for e, c in poly.items())
+        for word, merges in brute_contractions(letters).items():
+            for sigma, mult in merges.items():
+                out[word] = out.get(word, 0) + mult * value * Fraction(alpha) ** sigma
+    return {word: c for word, c in out.items() if c}
+
+
+def single_merges(terms):
+    """The single-merge operator on {letter tuple: coefficient}."""
+    out = {}
+    for letters, c in terms.items():
+        for i in range(len(letters) - 1):
+            word = letters[:i] + (letters[i] + letters[i + 1],) + letters[i + 2 :]
+            out[word] = out.get(word, 0) + c
+    return {word: c for word, c in out.items() if c}
+
+
+def as_dicts(e):
+    return {u.letters: dict(p.coeffs) for u, p in e.terms.items()}
+
+
+def as_constants(e):
+    assert e.is_t_free()
+    return {u.letters: p.constant() for u, p in e.terms.items()}
+
+
+def test_operator_on_every_word_up_to_weight_9_matches_brute_force():
+    words = words_up_to_weight(9)
+    assert len(words) == 511
+    for word in words:
+        expected = brute_contractions(word.letters)
+        assert as_dicts(_s_t_word(word)) == expected
+        assert as_dicts(s_t(FormalSum.from_word(word))) == expected
+        assert zeta_t_words(Index(word.letters)) == _s_t_word(word)
+
+
+ALPHAS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 5)]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_s_alpha_matches_brute_force(alpha):
+    for word in words_up_to_weight(7):
+        got = s_alpha(FormalSum.from_word(word), alpha)
+        assert as_constants(got) == brute_s_alpha({word.letters: {0: 1}}, alpha)
+    # polynomial coefficients are evaluated at alpha too
+    terms = {(2, 1, 1): {0: -3, 2: 1}, (1, 3): {0: Fraction(1, 2)}, (4,): {1: 5}}
+    e = FormalSum.zero()
+    for letters, poly in terms.items():
+        e = e + FormalSum.from_word(Word(letters), RatPoly(poly))
+    assert as_constants(s_alpha(e, alpha)) == brute_s_alpha(terms, alpha)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("letters", [(2, 1, 3, 1, 1), (1, 2, 1, 1), (3, 1, 2)])
+def test_taylor_shift_coefficients_are_powers_of_the_log(letters, alpha):
+    # S^t = exp(t L) with L the single-merge operator, so the k-th Taylor
+    # coefficient of S^t(x) at alpha is S^alpha(L^k x) / k!.
+    element = {}
+    for word, merges in brute_contractions(letters).items():
+        element[word] = {sigma: Fraction(m) for sigma, m in merges.items()}
+    parts = taylor_shift(dictpoly_to_sum(element), alpha)
+    assert len(parts) == len(letters)
+    power = {letters: Fraction(1)}
+    for k, part in enumerate(parts):
+        expected = brute_s_alpha({u: {0: c} for u, c in power.items()}, alpha)
+        assert as_constants(part) == {u: c / factorial(k) for u, c in expected.items()}
+        power = single_merges(power)
+    assert power == {}
+
+
+def test_taylor_shift_of_zero_and_of_constants():
+    zero = FormalSum.zero()
+    assert taylor_shift(zero, Fraction(1, 3)) == [zero]
+    assert taylor_shift(zero, 0) == [zero]
+    assert taylor_shift(RatPoly({2: 1}) * w(3), 0) == [zero, zero, w(3)]

@@ -8,7 +8,12 @@ from hypothesis import given, settings, strategies as st
 from izeta.algebra import FormalSum, RatPoly, T, Word
 from izeta.identities import sum_poly, sum_words
 from izeta.interpolate import s_t, taylor_shift
-from izeta.reduction import span_membership, verify_csf_reduction, verify_sf_reduction
+from izeta.reduction import (
+    RelationCertificate,
+    span_membership,
+    verify_csf_reduction,
+    verify_sf_reduction,
+)
 
 from helpers import words_up_to_weight
 
@@ -146,3 +151,19 @@ def test_reduction_targets_really_are_the_shift_coefficients():
         for power, piece in enumerate(pieces):
             cert = labels[f"sum-formula k={k} n={n} power={power}"]
             assert cert.target == piece
+
+
+def test_verify_rejects_a_coefficient_moved_by_one_thousandth():
+    certs = verify_sf_reduction(6) + verify_csf_reduction(4)
+    moved = 0
+    for cert in certs:
+        assert cert.verify()
+        for i, g in enumerate(cert.generators):
+            if g.is_zero():
+                continue
+            coeffs = list(cert.coefficients)
+            coeffs[i] += Fraction(1, 1000)
+            bad = RelationCertificate(cert.target, cert.generators, coeffs, cert.label)
+            assert not bad.verify()
+            moved += 1
+    assert moved > 100
