@@ -4,7 +4,10 @@ Words are noncommutative monomials z_{k1}...z_{kn} in letters indexed by
 positive integers; a letter is represented by its subscript.  Formal sums
 carry coefficients in Q[t] (:class:`RatPoly`), so one representation covers
 the harmonic (stuffle) product, the star variant, and the one-parameter
-family of products joining them.
+family of products joining them.  All three run one quasi-shuffle
+recursion (`_quasi_shuffle`) and differ only in the coefficients of its
+two overlap terms: (merge, circ) = (1, none) for the harmonic product,
+(-1, none) for the star product and (1 - 2t, t^2 - t) for the t-product.
 
 Everything is exact: coefficients are ints or :class:`fractions.Fraction`,
 never floats.  Values are immutable once constructed.  The module-level
@@ -386,13 +389,9 @@ def as_sum(x):
 
 def word_linear(f, e):
     """Extend a word-level map f: Word -> FormalSum linearly over e."""
-    out = {}
-    for w, c in as_sum(e).terms.items():
-        for u, d in f(w).terms.items():
-            p = c * d
-            q = out.get(u)
-            out[u] = p if q is None else q + p
-    return FormalSum(out)
+    return FormalSum(
+        (u, c * d) for w, c in as_sum(e).terms.items() for u, d in f(w).terms.items()
+    )
 
 
 def substitute_t(e, alpha):
@@ -410,70 +409,61 @@ def circle_act(a, e):
     """Act by the letter a on a formal sum: a acts as zero on the unit
     word and merges into the first letter otherwise."""
     _check_letter(a)
-    out = {}
-    for w, c in as_sum(e).terms.items():
-        if not w.letters:
-            continue
-        u = Word((a + w.letters[0],) + w.letters[1:])
-        q = out.get(u)
-        out[u] = c if q is None else q + c
-    return FormalSum(out)
-
-
-def _prepend(a, e):
-    """Left-multiply a formal sum by the single letter a."""
-    return FormalSum({Word((a,) + w.letters): c for w, c in e.terms.items()})
-
-
-_ONE_MINUS_2T = RatPoly({0: 1, 1: -2})
-_T2_MINUS_T = RatPoly({1: -1, 2: 1})
-
-
-@cache
-def _harmonic_ww(w1: Word, w2: Word) -> FormalSum:
-    if not w1.letters:
-        return FormalSum.from_word(w2)
-    if not w2.letters:
-        return FormalSum.from_word(w1)
-    a, u = w1.letters[0], Word(w1.letters[1:])
-    b, v = w2.letters[0], Word(w2.letters[1:])
-    return (
-        _prepend(a, _harmonic_ww(u, w2))
-        + _prepend(b, _harmonic_ww(w1, v))
-        + _prepend(a + b, _harmonic_ww(u, v))
+    return FormalSum(
+        (Word((a + w.letters[0],) + w.letters[1:]), c)
+        for w, c in as_sum(e).terms.items()
+        if w.letters
     )
 
 
-@cache
-def _star_ww(w1: Word, w2: Word) -> FormalSum:
-    if not w1.letters:
-        return FormalSum.from_word(w2)
-    if not w2.letters:
-        return FormalSum.from_word(w1)
-    a, u = w1.letters[0], Word(w1.letters[1:])
-    b, v = w2.letters[0], Word(w2.letters[1:])
-    return (
-        _prepend(a, _star_ww(u, w2))
-        + _prepend(b, _star_ww(w1, v))
-        - _prepend(a + b, _star_ww(u, v))
-    )
+def _prepend(a, e, scale=1):
+    """The terms of a e, the letter a prepended to each word of e, with
+    each coefficient times scale."""
+    one = scale == 1
+    for w, c in e.terms.items():
+        yield Word((a,) + w.letters), c if one else c * scale
 
 
-@cache
-def _t_harmonic_ww(w1: Word, w2: Word) -> FormalSum:
-    if not w1.letters:
-        return FormalSum.from_word(w2)
-    if not w2.letters:
-        return FormalSum.from_word(w1)
-    a, u = w1.letters[0], Word(w1.letters[1:])
-    b, v = w2.letters[0], Word(w2.letters[1:])
-    inner = _t_harmonic_ww(u, v)
-    return (
-        _prepend(a, _t_harmonic_ww(u, w2))
-        + _prepend(b, _t_harmonic_ww(w1, v))
-        + _ONE_MINUS_2T * _prepend(a + b, inner)
-        + _T2_MINUS_T * circle_act(a + b, inner)
-    )
+def _quasi_shuffle(merge, circ=None):
+    """The cached word-level product of one member of the quasi-shuffle
+    family (Hoffman, *Quasi-shuffle products*, J. Algebraic Combin. 11
+    (2000)): the empty word is the unit, and for letters a, b
+
+        a u * b v = a (u * b v) + b (a u * v)
+                    + merge (a+b)(u * v) + circ ((a+b) o (u * v)),
+
+    where (a+b) o merges the letter a+b into the head of each word.
+
+        product     merge     circ
+        harmonic    1         none
+        star        -1        none
+        t           1 - 2t    t^2 - t
+    """
+
+    @cache
+    def word_product(w1: Word, w2: Word) -> FormalSum:
+        if not w1.letters:
+            return FormalSum.from_word(w2)
+        if not w2.letters:
+            return FormalSum.from_word(w1)
+        a, u = w1.letters[0], Word(w1.letters[1:])
+        b, v = w2.letters[0], Word(w2.letters[1:])
+        inner = word_product(u, v)
+        terms = [
+            *_prepend(a, word_product(u, w2)),
+            *_prepend(b, word_product(w1, v)),
+            *_prepend(a + b, inner, merge),
+        ]
+        if circ is not None:
+            terms += (circ * circle_act(a + b, inner)).items()
+        return FormalSum(terms)
+
+    return word_product
+
+
+_harmonic_ww = _quasi_shuffle(1)
+_star_ww = _quasi_shuffle(-1)
+_t_harmonic_ww = _quasi_shuffle(RatPoly({0: 1, 1: -2}), RatPoly({1: -1, 2: 1}))
 
 
 def _bilinear(word_product, e1, e2):

@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .algebra import (
     FormalSum,
-    T,
-    Word,
     harmonic_product,
     parse_index,
     parse_word,
@@ -25,10 +23,8 @@ from .algebra import (
 )
 from .identities import (
     alt_sum,
-    cyclic_C,
-    cyclic_Sigma,
-    sum_poly,
-    sum_words,
+    cyclic_sides,
+    sum_formula_sides,
     two_one_lhs_index,
     two_one_rhs_word,
     words_of_weight,
@@ -128,75 +124,46 @@ def _cmd_eval(args):
     return 0
 
 
-def _print_certs(args, suite, certs, extra_records=()):
+def _sum_formula_sides(k):
+    return [(f"k={k} n={n}", sum_formula_sides(k, n)) for n in range(1, k)]
+
+
+def _cyclic_sides(k):
+    return [
+        (f"k={k} word={w}", cyclic_sides(w)) for w in words_of_weight(k) if w.depth < k
+    ]
+
+
+def _cmd_verify_reduction(args):
+    """Certify a suite and, under --numeric, evaluate both sides of each
+    identity at t; exit 1 if a certificate or a numeric check fails."""
+    t = _fraction(args.t) if args.numeric else None  # reject before any work
+    certs = args.certify(args.k)
     oks = [c.success and c.verify() for c in certs]
+    reports = [
+        (label, verify_identity(lhs, rhs, [t], args.M))
+        for label, (lhs, rhs) in (args.sides(args.k) if args.numeric else ())
+    ]
     ok = all(oks)
     if args.json:
-        doc = {"suite": suite, "checks": certificate_records(certs), "ok": ok}
-        if extra_records:
-            doc["numeric"] = list(extra_records)
+        doc = {"suite": args.suite, "checks": certificate_records(certs), "ok": ok}
+        if reports:
+            doc["numeric"] = [
+                {"label": label, "checks": [str(c) for c in rep.checks], "ok": rep.ok}
+                for label, rep in reports
+            ]
         _write(json.dumps(doc, sort_keys=True))
     else:
         lines = [("ok   " if v else "FAIL ") + c.label for c, v in zip(certs, oks)]
         verdict = "all ok" if ok else "FAILURES"
-        lines.append(f"{suite}: {len(certs)} certificates, {verdict}")
+        lines.append(f"{args.suite}: {len(certs)} certificates, {verdict}")
+        lines += [
+            f"{'ok  ' if check.ok else 'FAIL'} {label}: {check}"
+            for label, rep in reports
+            for check in rep.checks
+        ]
         _write("\n".join(lines))
-    return ok
-
-
-def _numeric_lines(reports):
-    for label, report in reports:
-        for check in report.checks:
-            yield f"{'ok  ' if check.ok else 'FAIL'} {label}: {check}"
-
-
-def _cmd_verify_sum_formula(args):
-    certs = verify_sf_reduction(args.k)
-    reports = []
-    if args.numeric:
-        t = _fraction(args.t)
-        zk = FormalSum.from_word(Word((args.k,)))
-        for n in range(1, args.k):
-            lhs = s_t(sum_words(args.k, n))
-            rhs = zk * sum_poly(args.k, n)
-            reports.append(
-                (f"k={args.k} n={n}", verify_identity(lhs, rhs, [t], args.M))
-            )
-    numeric_ok = all(r.ok for _, r in reports)
-    extra = [
-        {"label": label, "checks": [str(c) for c in rep.checks], "ok": rep.ok}
-        for label, rep in reports
-    ]
-    certs_ok = _print_certs(args, "sum-formula", certs, extra)
-    if not args.json:
-        for line in _numeric_lines(reports):
-            print(line)
-    return 0 if certs_ok and numeric_ok else 1
-
-
-def _cmd_verify_cyclic(args):
-    certs = verify_csf_reduction(args.k)
-    reports = []
-    if args.numeric:
-        t = _fraction(args.t)
-        k = args.k
-        zk1 = FormalSum.from_word(Word((k + 1,)))
-        for w in words_of_weight(k):
-            if w.depth >= k:
-                continue
-            lhs = s_t(cyclic_Sigma(w))
-            rhs = (1 - T) * s_t(cyclic_C(w)) + (k * T**w.depth) * zk1
-            reports.append((f"k={k} word={w}", verify_identity(lhs, rhs, [t], args.M)))
-    numeric_ok = all(r.ok for _, r in reports)
-    extra = [
-        {"label": label, "checks": [str(c) for c in rep.checks], "ok": rep.ok}
-        for label, rep in reports
-    ]
-    certs_ok = _print_certs(args, "cyclic", certs, extra)
-    if not args.json:
-        for line in _numeric_lines(reports):
-            print(line)
-    return 0 if certs_ok and numeric_ok else 1
+    return 0 if ok and all(rep.ok for _, rep in reports) else 1
 
 
 def _cmd_verify_alt_sum(args):
@@ -276,21 +243,18 @@ def build_parser():
     pv = sub.add_parser("verify", help="run an identity suite")
     vsub = pv.add_subparsers(dest="suite", required=True)
 
-    p = vsub.add_parser("sum-formula", help="fixed-weight sum reductions")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--numeric", action="store_true")
-    p.add_argument("--t", default="1/2", help="exact rational p/q")
-    p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify_sum_formula)
-
-    p = vsub.add_parser("cyclic", help="cyclic sum reductions")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--numeric", action="store_true")
-    p.add_argument("--t", default="1/2", help="exact rational p/q")
-    p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_verify_cyclic)
+    for suite, about, certify, sides in (
+        ("sum-formula", "fixed-weight sum reductions", verify_sf_reduction,
+         _sum_formula_sides),
+        ("cyclic", "cyclic sum reductions", verify_csf_reduction, _cyclic_sides),
+    ):
+        p = vsub.add_parser(suite, help=about)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--numeric", action="store_true")
+        p.add_argument("--t", default="1/2", help="exact rational p/q")
+        p.add_argument("--M", type=int, default=100000)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_verify_reduction, certify=certify, sides=sides)
 
     p = vsub.add_parser("alt-sum", help="alternating-sum vanishing")
     p.add_argument("--word", required=True)

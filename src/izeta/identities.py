@@ -1,6 +1,10 @@
 """Builders for the identity families tied to the interpolation operator:
 fixed-weight sum families, cyclic generators, the alternating sum, and the
-half-parameter translation between star values and odd-letter words."""
+half-parameter translation between star values and odd-letter words.
+
+The sum formula and the cyclic sum formula are each stated once, as the
+pair of sides that `sum_formula_sides` and `cyclic_sides` return; the
+reduction certificates and the numeric checks both start from them."""
 
 from __future__ import annotations
 
@@ -85,9 +89,18 @@ def sum_poly(k, n):
     return out
 
 
-def _rotation(parts, l):
-    """Rotation of an exponent tuple starting at position l (0-based)."""
-    return parts[l:] + parts[:l]
+def sum_formula_sides(k, n):
+    """The two sides of the interpolated sum formula at weight k and depth
+    n: S^t of the sum of all admissible words of weight k and depth n, and
+    z_k times `sum_poly(k, n)`.  Their values agree for every t."""
+    zk = FormalSum.from_word(Word((k,)))
+    return s_t(sum_words(k, n)), zk * sum_poly(k, n)
+
+
+def _rotations(parts):
+    """The rotations of an exponent tuple, starting at each position in
+    turn."""
+    return (parts[l:] + parts[:l] for l in range(len(parts)))
 
 
 def cyclic_C(w):
@@ -95,13 +108,10 @@ def cyclic_C(w):
     parts = w.letters
     if not parts:
         raise ValueError("cyclic operators need a nonempty word")
-    out = {}
-    for l in range(len(parts)):
-        rot = _rotation(parts, l)
-        u = Word((rot[0] + 1,) + rot[1:])
-        q = out.get(u)
-        out[u] = RatPoly(1) if q is None else q + 1
-    return FormalSum(out)
+    return FormalSum(
+        (Word((rot[0] + 1,) + rot[1:]), 1)
+        for rot in _rotations(parts)
+    )
 
 
 def cyclic_Sigma(w):
@@ -110,15 +120,11 @@ def cyclic_Sigma(w):
     parts = w.letters
     if not parts:
         raise ValueError("cyclic operators need a nonempty word")
-    out = {}
-    for l in range(len(parts)):
-        rot = _rotation(parts, l)
-        head = rot[0]
-        for j in range(1, head):
-            u = Word((head + 1 - j,) + rot[1:] + (j,))
-            q = out.get(u)
-            out[u] = RatPoly(1) if q is None else q + 1
-    return FormalSum(out)
+    return FormalSum(
+        (Word((rot[0] + 1 - j,) + rot[1:] + (j,)), 1)
+        for rot in _rotations(parts)
+        for j in range(1, rot[0])
+    )
 
 
 def cyclic_delta(w):
@@ -127,33 +133,34 @@ def cyclic_delta(w):
     parts = w.letters
     if len(parts) < 2:
         raise ValueError("delta undefined for words of length < 2")
-    n = len(parts)
-    out = {}
-    for l in range(n):
-        rot = _rotation(parts, l)
-        u = Word((rot[0] + rot[1],) + rot[2:])
-        q = out.get(u)
-        out[u] = RatPoly(1) if q is None else q + 1
-    return FormalSum(out)
+    return FormalSum(
+        (Word((rot[0] + rot[1],) + rot[2:]), 1)
+        for rot in _rotations(parts)
+    )
 
 
-def csf_generator(w):
-    """The t-polynomial combination of cyclic sums whose vanishing under
-    evaluation expresses the cyclic relation for w: the split side plus
-    (t-1) times the rotation side minus (weight) t^depth z_{weight+1}.
-
-    Defined for words whose weight exceeds their depth (otherwise the
-    split side is empty)."""
+def cyclic_sides(w):
+    """The two sides of the interpolated cyclic sum formula for a word w of
+    weight k and depth n < k: S^t(Sigma w), the rotations split at the
+    head, and (1 - t) S^t(C w) + k t^n z_{k+1}, the rotations with the head
+    raised.  Their values agree for every t."""
     k = w.weight
     n = w.depth
     if n == 0 or k <= n:
         raise ValueError(f"excluded by n < k: word {w!r}")
     zk1 = FormalSum.from_word(Word((k + 1,)))
-    return (
-        s_t(cyclic_Sigma(w))
-        + (T - 1) * s_t(cyclic_C(w))
-        - (k * T**n) * zk1
-    )
+    return s_t(cyclic_Sigma(w)), (1 - T) * s_t(cyclic_C(w)) + (k * T**n) * zk1
+
+
+def csf_generator(w):
+    """The t-polynomial combination of cyclic sums whose vanishing under
+    evaluation expresses the cyclic relation for w: the two sides of
+    `cyclic_sides` subtracted.
+
+    Defined for words whose weight exceeds their depth (otherwise the
+    split side is empty)."""
+    lhs, rhs = cyclic_sides(w)
+    return lhs - rhs
 
 
 def csf_generator_linear(e):

@@ -31,8 +31,6 @@ M >= 111 gives the same value.
 
 Star values are the integer S^1 expansion of strict values, and
 `eval_element` sums coefficient * value exactly before rounding once.
-The truncated nested sums of `_kernel_py` (`_checkpoints`) stay only as
-an independent oracle for tests.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ._kernel_py import nested_sum_checkpoints as _nested_sum
 from .algebra import Index, as_sum, substitute_t
 from .interpolate import _s_t_word
 
@@ -73,12 +70,6 @@ class NumResult:
 
     def __str__(self):
         return f"{self.meta} = {self.value!r} (err<={self.err:.3e}, M={self.M})"
-
-
-@lru_cache(maxsize=None)
-def _checkpoints(parts, M, strict):
-    """Truncated nested sums at M, M//2 and M//4 (test oracle only)."""
-    return _nested_sum(parts, M, strict)
 
 
 def _tail_bound(a, r, N):

@@ -8,19 +8,13 @@ so callers can report exactly which component fell outside the span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 
-from .algebra import FormalSum, Word, _as_exact, as_sum
-from .identities import (
-    csf_generator,
-    cyclic_C,
-    cyclic_Sigma,
-    sum_poly,
-    sum_words,
-    words_of_weight,
-)
-from .interpolate import s_alpha, s_t, taylor_shift
+from .algebra import FormalSum, _as_exact, as_sum
+from .identities import cyclic_sides, sum_formula_sides, words_of_weight
+from .interpolate import taylor_shift
 
 
 def _vectorize(e):
@@ -175,66 +169,55 @@ def span_membership(target, generators, label=""):
     return RelationCertificate(as_sum(target), list(generators), coeffs, label)
 
 
+def _certify(relations, alpha):
+    """Certify, power by power in (t - alpha), that each Taylor coefficient
+    of each relation lies in the span of the relations evaluated at t = alpha.
+
+    `relations` lists (label, element, number of powers) triples; each
+    element's Taylor coefficients are padded with zeros to its number of
+    powers.  The generators are the coefficients of (t - alpha)^0."""
+    shifted = [taylor_shift(e, alpha) for _, e, _ in relations]
+    gens = [parts[0] for parts in shifted]
+    solver = SpanSolver(gens)
+    certs = []
+    for (label, _, powers), parts in zip(relations, shifted):
+        parts += [FormalSum.zero()] * (powers - len(parts))
+        for power, part in enumerate(parts):
+            coeffs = solver.coefficients_for(part)
+            certs.append(
+                RelationCertificate(part, gens, coeffs, label=f"{label} power={power}")
+            )
+    return certs
+
+
+def _check_weight(k):
+    if k < 2:
+        raise ValueError("weight must be at least 2")
+
+
 def verify_sf_reduction(k, alpha=0):
     """Certify, coefficient by coefficient in (t - alpha), that the
     weight-k sum-family identity reduces to the depth-graded generators
     evaluated at alpha.  Returns one certificate per (depth, power)."""
-    if k < 2:
-        raise ValueError("weight must be at least 2")
-    zk = FormalSum.from_word(Word((k,)))
-    gens = [
-        s_alpha(sum_words(k, m), alpha) - zk * sum_poly(k, m).evaluate(alpha)
-        for m in range(1, k)
-    ]
-    solver = SpanSolver(gens)
-    certs = []
-    for n in range(1, k):
-        e = s_t(sum_words(k, n)) - zk * sum_poly(k, n)
-        parts = taylor_shift(e, alpha)
-        parts += [FormalSum.zero()] * (n - len(parts))  # degree in t is < n
-        for power, part in enumerate(parts):
-            coeffs = solver.coefficients_for(part)
-            certs.append(
-                RelationCertificate(
-                    part,
-                    gens,
-                    coeffs,
-                    label=f"sum-formula k={k} n={n} power={power}",
-                )
-            )
-    return certs
+    _check_weight(k)
+    return _certify(
+        [
+            (f"sum-formula k={k} n={n}", sub(*sum_formula_sides(k, n)), n)
+            for n in range(1, k)  # degree in t is < n
+        ],
+        alpha,
+    )
 
 
 def verify_csf_reduction(k, alpha=0):
     """Certify that each cyclic generator of weight k reduces, power by
     power in (t - alpha), to the span of the generators' values at alpha."""
-    if k < 2:
-        raise ValueError("weight must be at least 2")
-    words = [w for w in words_of_weight(k) if w.depth < k]
-    zk1 = FormalSum.from_word(Word((k + 1,)))
-    alpha_f = Fraction(alpha)
-    gens = []
-    for w in words:
-        n = w.depth
-        gens.append(
-            s_alpha(cyclic_Sigma(w), alpha)
-            + s_alpha(cyclic_C(w), alpha) * (alpha_f - 1)
-            - zk1 * (k * alpha_f**n)
-        )
-    solver = SpanSolver(gens)
-    certs = []
-    for w in words:
-        f = csf_generator(w)
-        parts = taylor_shift(f, alpha)
-        parts += [FormalSum.zero()] * (w.depth + 1 - len(parts))  # degree <= depth
-        for power, part in enumerate(parts):
-            coeffs = solver.coefficients_for(part)
-            certs.append(
-                RelationCertificate(
-                    part,
-                    gens,
-                    coeffs,
-                    label=f"cyclic k={k} word={w} power={power}",
-                )
-            )
-    return certs
+    _check_weight(k)
+    return _certify(
+        [
+            (f"cyclic k={k} word={w}", sub(*cyclic_sides(w)), w.depth + 1)
+            for w in words_of_weight(k)
+            if w.depth < k  # degree in t is <= depth
+        ],
+        alpha,
+    )

@@ -6,6 +6,7 @@ machinery cannot hide inside its own oracle.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from izeta.algebra import FormalSum, RatPoly, Word
@@ -120,6 +121,30 @@ def brute_nested_sum(parts, m_max, strict):
             continue
         total += m ** (-float(k)) * brute_nested_sum(rest, inner_cap, strict)
     return total
+
+
+@lru_cache(maxsize=None)
+def truncated_checkpoints(parts, m_max, strict):
+    """Truncated nested power sum of a composition, with checkpoints.
+
+    Sums prod(m_i^-k_i) over chains m_max >= m_1 > m_2 > ... > m_n >= 1
+    (strict) or m_1 >= ... >= m_n >= 1 (non-strict).  Layers are summed
+    innermost first, ascending in the summation variable, with Kahan
+    compensation.  Returns the outer partial sums at m_max, m_max//2 and
+    m_max//4, ready for Richardson extrapolation.
+    """
+    shift = 1 if strict else 0
+    prev = [1.0] * (m_max + 1)  # the empty tail product, also at m = 0
+    for k in reversed(parts):
+        cur, s, comp = [0.0], 0.0, 0.0
+        for j in range(1, m_max + 1):
+            y = (1.0 / j) ** k * prev[j - shift] - comp
+            tmp = s + y
+            comp = (tmp - s) - y
+            s = tmp
+            cur.append(s)
+        prev = cur
+    return prev[m_max], prev[m_max // 2], prev[m_max // 4]
 
 
 def star_fillings(parts):

@@ -155,6 +155,18 @@ def test_malformed_rational_exits_two(capsys):
     assert "malformed rational" in err
 
 
+@pytest.mark.parametrize("suite", ["sum-formula", "cyclic"])
+def test_malformed_t_exits_two_before_any_certificate(capsys, monkeypatch, suite):
+    def certify(k):
+        raise AssertionError("a certificate was built")
+
+    monkeypatch.setattr(cli, "verify_sf_reduction", certify)
+    monkeypatch.setattr(cli, "verify_csf_reduction", certify)
+    code, out, err = run_lines(capsys, ["verify", suite, "--k", "9", "--numeric", "--t", "x"])
+    assert code == 2 and not out
+    assert "malformed rational" in err
+
+
 def test_unknown_verb_exits_two(capsys):
     assert cli.run(["frobnicate"]) == 2
     capsys.readouterr()
@@ -172,6 +184,10 @@ PINNED_STDOUT = {
         "1af9f13be2374855146af443b71c7050d8f1af50b05120ef032dae2508a49100",
     ("verify", "sum-formula", "--k", "9", "--json"):
         "ff4656219a75f9ce681e8286cb69979af0edf2570060f352f3d30466150ae34d",
+    ("verify", "cyclic", "--k", "5", "--numeric"):
+        "144be3cf8cb8d0ec14f302e5d1d8615c8bed805799a8877752260cd95419c9c8",
+    ("verify", "sum-formula", "--k", "6", "--numeric", "--json"):
+        "9db1cadc075b2cfd8c299dd5360a78b03b3b2b96af73b9b6db63226aa3fa4b2e",
 }
 
 

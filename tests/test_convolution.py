@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from izeta.algebra import FormalSum, Index, Word
-from izeta.numeric import _checkpoints, _tail_bound, eval_element, mzsv, mzv
+from izeta.numeric import _tail_bound, eval_element, mzsv, mzv
 
-from helpers import admissible_tuples
+from helpers import admissible_tuples, truncated_checkpoints as _checkpoints
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
