@@ -13,6 +13,18 @@ Everything is exact: coefficients are ints or :class:`fractions.Fraction`,
 never floats.  Values are immutable once constructed.  The module-level
 product caches rely on the GIL's atomic dict operations, so shared use
 across threads is safe (at worst a value is computed twice).
+
+Every result is in normal form: words have positive int letters, and
+polynomials have int exponents >= 0 and nonzero int or Fraction
+coefficients; no polynomial and no formal sum stores a zero.  The public
+constructors (`Word`, `RatPoly`, `FormalSum`) check and normalise what they
+are given.  The private constructors `_word`, `_poly` and `_normal_sum`
+set the slot as given and check nothing.  Only the package's own exact
+layer (`algebra`, `interpolate`, `identities`, `reduction`) may call them,
+and only with data derived from already validated Words and RatPolys and
+already in normal form: letters and coefficients taken from existing
+values, or sums and products of them with the zeros dropped.  Input from
+a caller never goes to them; `cli` never calls them.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 
 def _as_exact(c):
@@ -42,8 +55,8 @@ class RatPoly:
         if isinstance(coeffs, RatPoly):
             self.coeffs = coeffs.coeffs
             return
-        if isinstance(coeffs, (int, Fraction)):
-            coeffs = {0: coeffs}
+        if not isinstance(coeffs, dict):
+            coeffs = {0: coeffs}  # a constant, checked below
         cleaned = {}
         for e, c in coeffs.items():
             e = int(e)
@@ -77,21 +90,22 @@ class RatPoly:
             other = RatPoly(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return RatPoly(out)
+            c += out.get(e, 0)
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+        return _poly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatPoly({e: -c for e, c in self.coeffs.items()})
+        return _poly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, RatPoly):
             other = RatPoly(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return RatPoly(out)
+        return self + -other
 
     def __rsub__(self, other):
         return RatPoly(other) - self
@@ -99,8 +113,8 @@ class RatPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return RatPoly()
-            return RatPoly({e: c * other for e, c in self.coeffs.items()})
+                return _poly({})
+            return _poly({e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, RatPoly):
             return NotImplemented
         out = {}
@@ -108,7 +122,7 @@ class RatPoly:
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return RatPoly(out)
+        return _poly({e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -136,7 +150,7 @@ class RatPoly:
         return sum((c * alpha**e for e, c in self.coeffs.items()), Fraction(0))
 
     def derivative(self):
-        return RatPoly({e - 1: e * c for e, c in self.coeffs.items() if e > 0})
+        return _poly({e - 1: e * c for e, c in self.coeffs.items() if e > 0})
 
     def compose(self, inner):
         """Substitute the polynomial `inner` for t (Horner)."""
@@ -167,6 +181,15 @@ class RatPoly:
 
     def __repr__(self):
         return f"RatPoly('{self}')"
+
+
+def _poly(coeffs):
+    """RatPoly over `coeffs` as given, unchecked: {int exponent >= 0:
+    nonzero int or Fraction}, never caller input (see the module
+    docstring)."""
+    p = object.__new__(RatPoly)
+    p.coeffs = coeffs
+    return p
 
 
 #: The indeterminate t.
@@ -223,6 +246,15 @@ class Word:
 
     def __repr__(self):
         return f"Word('{self}')"
+
+
+def _word(letters):
+    """Word over the tuple `letters` as given, unchecked: positive ints
+    taken from validated words, never caller input (see the module
+    docstring)."""
+    w = object.__new__(Word)
+    w.letters = letters
+    return w
 
 
 class Index:
@@ -285,16 +317,8 @@ class FormalSum:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for w, c in items:
-            if not isinstance(w, Word):
-                raise TypeError("FormalSum keys must be Words")
-            p = c if isinstance(c, RatPoly) else RatPoly(c)
-            if w in acc:
-                p = acc[w] + p
-            acc[w] = p
-        self.terms = {w: p for w, p in acc.items() if not p.is_zero()}
+        self.terms = {}
+        _add_into(self.terms, _checked_terms(terms))
 
     @classmethod
     def zero(cls):
@@ -332,27 +356,24 @@ class FormalSum:
         if not isinstance(other, FormalSum):
             return NotImplemented
         out = dict(self.terms)
-        for w, p in other.terms.items():
-            q = out.get(w)
-            out[w] = p if q is None else q + p
-        return FormalSum(out)
+        _add_into(out, other.terms.items())
+        return _normal_sum(out)
 
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        out = dict(self.terms)
-        for w, p in other.terms.items():
-            q = out.get(w)
-            out[w] = -p if q is None else q - p
-        return FormalSum(out)
+        return self + -other
 
     def __neg__(self):
-        return FormalSum({w: -p for w, p in self.terms.items()})
+        return _normal_sum({w: -p for w, p in self.terms.items()})
 
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, Fraction, RatPoly)):
             return NotImplemented
-        return FormalSum({w: p * scalar for w, p in self.terms.items()})
+        if not scalar:
+            return _normal_sum({})
+        # Q[t] has no zero divisors: no product of nonzero terms vanishes
+        return _normal_sum({w: p * scalar for w, p in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -378,6 +399,39 @@ class FormalSum:
         return f"FormalSum('{self}')"
 
 
+def _normal_sum(terms):
+    """FormalSum over the dict `terms` as given, unchecked: {Word: nonzero
+    RatPoly}, built by the exact layer and owned by the result (see the
+    module docstring)."""
+    e = object.__new__(FormalSum)
+    e.terms = terms
+    return e
+
+
+def _checked_terms(terms):
+    """The (Word, RatPoly) pairs of caller input `terms` (a dict or
+    pairs), each checked, with zero coefficients skipped."""
+    for w, c in terms.items() if isinstance(terms, dict) else terms:
+        if not isinstance(w, Word):
+            raise TypeError("FormalSum keys must be Words")
+        p = c if isinstance(c, RatPoly) else RatPoly(c)
+        if p.coeffs:
+            yield w, p
+
+
+def _add_into(out, terms):
+    """Add the (Word, RatPoly) pairs `terms` into the dict `out` of a sum
+    being built, dropping each word whose coefficient cancels."""
+    for w, p in terms:
+        q = out.get(w)
+        if q is None:
+            out[w] = p
+        elif p := q + p:
+            out[w] = p
+        else:
+            del out[w]
+
+
 def as_sum(x):
     """Coerce a Word into the corresponding one-term FormalSum."""
     if isinstance(x, FormalSum):
@@ -394,10 +448,42 @@ def word_linear(f, e):
     )
 
 
+def _at_alpha(alpha, polys):
+    """The values c(alpha) alpha^s for s < n, for each pair (c, n) of a
+    nonzero RatPoly c and a count n >= 1, as integers over one common
+    denominator: returns (den, [[den c(alpha) alpha^s for s < n], ...]).
+
+    For alpha = p/q, den is the lcm L of the denominators of the c times
+    q^top, top the largest deg c + n - 1.  With d = deg c, the integer
+    N = L q^d c(alpha) gives each value as N p^s q^(top - d - s), so no
+    gcd is taken until the caller divides by den.
+    """
+    polys = list(polys)
+    p, q = alpha.numerator, alpha.denominator
+    scale = lcm(*{x.denominator for c, _ in polys for x in c.coeffs.values()})
+    top = max((max(c.coeffs) + n - 1 for c, n in polys), default=0)
+    ps, qs = [1], [1]
+    for _ in range(top):
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
+    values = []
+    for c, n in polys:
+        d = max(c.coeffs)
+        num = sum(
+            x.numerator * (scale // x.denominator) * ps[j] * qs[d - j]
+            for j, x in c.coeffs.items()
+        )
+        values.append([num * ps[s] * qs[top - d - s] for s in range(n)])
+    return scale * qs[top], values
+
+
 def substitute_t(e, alpha):
     """Evaluate every coefficient of e at t = alpha (exact rational)."""
-    alpha = _as_exact(alpha)
-    return as_sum(e).map_coefficients(lambda p: RatPoly(p.evaluate(alpha)))
+    e = as_sum(e)
+    den, values = _at_alpha(_as_exact(alpha), ((p, 1) for p in e.terms.values()))
+    return _normal_sum(
+        {w: _poly({0: Fraction(v, den)}) for w, (v,) in zip(e.terms, values) if v}
+    )
 
 
 def circle(a, b):
@@ -409,19 +495,22 @@ def circle_act(a, e):
     """Act by the letter a on a formal sum: a acts as zero on the unit
     word and merges into the first letter otherwise."""
     _check_letter(a)
-    return FormalSum(
-        (Word((a + w.letters[0],) + w.letters[1:]), c)
-        for w, c in as_sum(e).terms.items()
-        if w.letters
+    # distinct words stay distinct, so no coefficients merge
+    return _normal_sum(
+        {
+            _word((a + w.letters[0],) + w.letters[1:]): c
+            for w, c in as_sum(e).terms.items()
+            if w.letters
+        }
     )
 
 
 def _prepend(a, e, scale=1):
     """The terms of a e, the letter a prepended to each word of e, with
-    each coefficient times scale."""
+    each coefficient times the nonzero scale."""
     one = scale == 1
     for w, c in e.terms.items():
-        yield Word((a,) + w.letters), c if one else c * scale
+        yield _word((a,) + w.letters), c if one else c * scale
 
 
 def _quasi_shuffle(merge, circ=None):
@@ -446,17 +535,15 @@ def _quasi_shuffle(merge, circ=None):
             return FormalSum.from_word(w2)
         if not w2.letters:
             return FormalSum.from_word(w1)
-        a, u = w1.letters[0], Word(w1.letters[1:])
-        b, v = w2.letters[0], Word(w2.letters[1:])
+        a, u = w1.letters[0], _word(w1.letters[1:])
+        b, v = w2.letters[0], _word(w2.letters[1:])
         inner = word_product(u, v)
-        terms = [
-            *_prepend(a, word_product(u, w2)),
-            *_prepend(b, word_product(w1, v)),
-            *_prepend(a + b, inner, merge),
-        ]
+        out = dict(_prepend(a, word_product(u, w2)))
+        _add_into(out, _prepend(b, word_product(w1, v)))
+        _add_into(out, _prepend(a + b, inner, merge))
         if circ is not None:
-            terms += (circ * circle_act(a + b, inner)).items()
-        return FormalSum(terms)
+            _add_into(out, (circ * circle_act(a + b, inner)).items())
+        return _normal_sum(out)
 
     return word_product
 
@@ -471,11 +558,9 @@ def _bilinear(word_product, e1, e2):
     for w1, c1 in as_sum(e1).terms.items():
         for w2, c2 in as_sum(e2).terms.items():
             c12 = c1 * c2
-            for w, c in word_product(w1, w2).terms.items():
-                p = c12 * c
-                q = out.get(w)
-                out[w] = p if q is None else q + p
-    return FormalSum(out)
+            product = word_product(w1, w2).terms.items()
+            _add_into(out, ((w, c12 * c) for w, c in product))
+    return _normal_sum(out)
 
 
 def harmonic_product(e1, e2):

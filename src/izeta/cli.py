@@ -31,7 +31,12 @@ from .identities import (
 )
 from .interpolate import s_t, zeta_t_words
 from .numeric import BOUND, METHOD, eval_element, kernel_name, mzsv, verify_identity
-from .reduction import certificate_records, verify_csf_reduction, verify_sf_reduction
+from .reduction import (
+    _check_weight,
+    certificate_records,
+    verify_csf_reduction,
+    verify_sf_reduction,
+)
 
 _PRODUCTS = {
     "harmonic": harmonic_product,
@@ -125,25 +130,31 @@ def _cmd_eval(args):
 
 
 def _sum_formula_sides(k):
-    return [(f"k={k} n={n}", sum_formula_sides(k, n)) for n in range(1, k)]
+    for n in range(1, k):
+        yield f"k={k} n={n}", sum_formula_sides(k, n)
 
 
 def _cyclic_sides(k):
-    return [
-        (f"k={k} word={w}", cyclic_sides(w)) for w in words_of_weight(k) if w.depth < k
-    ]
+    for w in words_of_weight(k):
+        if w.depth < k:
+            yield f"k={k} word={w}", cyclic_sides(w)
 
 
 def _cmd_verify_reduction(args):
     """Certify a suite and, under --numeric, evaluate both sides of each
     identity at t; exit 1 if a certificate or a numeric check fails."""
-    t = _fraction(args.t) if args.numeric else None  # reject before any work
-    certs = args.certify(args.k)
-    oks = [c.success and c.verify() for c in certs]
+    # reject a bad --t or --k before any work, in that order
+    t = _fraction(args.t) if args.numeric else None
+    _check_weight(args.k)
+    # The sides are built one identity at a time and evaluated before any
+    # certificate, so the evaluator rejects a bad --M at the first side
+    # too deep for it.
     reports = [
         (label, verify_identity(lhs, rhs, [t], args.M))
         for label, (lhs, rhs) in (args.sides(args.k) if args.numeric else ())
     ]
+    certs = args.certify(args.k)
+    oks = [c.success and c.verify() for c in certs]
     ok = all(oks)
     if args.json:
         doc = {"suite": args.suite, "checks": certificate_records(certs), "ok": ok}

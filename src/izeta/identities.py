@@ -19,6 +19,7 @@ from .algebra import (
     RatPoly,
     T,
     Word,
+    _word,
     as_sum,
     harmonic_product,
     substitute_t,
@@ -109,7 +110,7 @@ def cyclic_C(w):
     if not parts:
         raise ValueError("cyclic operators need a nonempty word")
     return FormalSum(
-        (Word((rot[0] + 1,) + rot[1:]), 1)
+        (_word((rot[0] + 1,) + rot[1:]), 1)
         for rot in _rotations(parts)
     )
 
@@ -121,7 +122,7 @@ def cyclic_Sigma(w):
     if not parts:
         raise ValueError("cyclic operators need a nonempty word")
     return FormalSum(
-        (Word((rot[0] + 1 - j,) + rot[1:] + (j,)), 1)
+        (_word((rot[0] + 1 - j,) + rot[1:] + (j,)), 1)
         for rot in _rotations(parts)
         for j in range(1, rot[0])
     )
@@ -134,7 +135,7 @@ def cyclic_delta(w):
     if len(parts) < 2:
         raise ValueError("delta undefined for words of length < 2")
     return FormalSum(
-        (Word((rot[0] + rot[1],) + rot[2:]), 1)
+        (_word((rot[0] + rot[1],) + rot[2:]), 1)
         for rot in _rotations(parts)
     )
 
@@ -148,7 +149,7 @@ def cyclic_sides(w):
     n = w.depth
     if n == 0 or k <= n:
         raise ValueError(f"excluded by n < k: word {w!r}")
-    zk1 = FormalSum.from_word(Word((k + 1,)))
+    zk1 = FormalSum.from_word(_word((k + 1,)))
     return s_t(cyclic_Sigma(w)), (1 - T) * s_t(cyclic_C(w)) + (k * T**n) * zk1
 
 

@@ -11,13 +11,16 @@ S(a u) = a S(u) + t (a o S(u)), where a o merges the letter a into the
 head of each word, memoised on the tail u (Hoffman, *Quasi-shuffle
 products*, J. Algebraic Combin. 11 (2000)).  Its 2^(n-1) words are
 distinct, each with one monomial t^sigma, so `s_t`, `s_poly` and
-`s_alpha` only shift degrees or multiply by alpha^sigma.
+`s_alpha` only shift degrees or multiply by alpha^sigma; `s_alpha` does
+so in integers over one common denominator.  Results are built with the
+trusted constructors of `algebra` from the validated input.
 `enumerate_contractions` lists the same patterns explicitly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from math import comb
 
@@ -27,6 +30,10 @@ from .algebra import (
     RatPoly,
     Word,
     _as_exact,
+    _at_alpha,
+    _normal_sum,
+    _poly,
+    _word,
     as_sum,
     substitute_t,
 )
@@ -72,7 +79,7 @@ def enumerate_contractions(w):
         blocks = tuple(
             sum(letters[marks[i] : marks[i + 1]]) for i in range(len(marks) - 1)
         )
-        out.append((Contraction(tuple(marks), n - len(blocks)), Word(blocks)))
+        out.append((Contraction(tuple(marks), n - len(blocks)), _word(blocks)))
     return out
 
 
@@ -85,12 +92,12 @@ def _s_t_word(w: Word) -> FormalSum:
         return FormalSum.from_word(w)
     a = w.letters[0]
     acc = {}
-    for u, mono in _s_t_word(Word(w.letters[1:])).terms.items():
+    for u, mono in _s_t_word(_word(w.letters[1:])).terms.items():
         head, rest = u.letters[0], u.letters[1:]
-        acc[Word((a, head) + rest)] = mono
+        acc[_word((a, head) + rest)] = mono
         (sigma,) = mono.coeffs
-        acc[Word((a + head,) + rest)] = RatPoly({sigma + 1: 1})
-    return FormalSum(acc)
+        acc[_word((a + head,) + rest)] = _poly({sigma + 1: 1})
+    return _normal_sum(acc)
 
 
 def s_poly(e, param):
@@ -123,32 +130,42 @@ def s_t(e):
     for w, c in as_sum(e).terms.items():
         for u, mono in _s_t_word(w).terms.items():
             (sigma,) = mono.coeffs
-            acc = out.setdefault(u, {})
+            acc = out.get(u)
+            if acc is None:
+                out[u] = {deg + sigma: x for deg, x in c.coeffs.items()}
+                continue
             for deg, x in c.coeffs.items():
                 acc[deg + sigma] = acc.get(deg + sigma, 0) + x
-    return FormalSum({u: RatPoly(p) for u, p in out.items()})
+    terms = {}
+    for u, acc in out.items():
+        p = {deg: x for deg, x in acc.items() if x}
+        if p:
+            terms[u] = _poly(p)
+    return _normal_sum(terms)
 
 
 def s_alpha(e, alpha):
     """The operator at an exact rational parameter value, equal to s_t
     followed by substitution of alpha for t: a term c(t) w contributes
     c(alpha) alpha^sigma to each contraction of w with sigma merges.  At
-    alpha = 0 only the uncontracted words survive."""
+    alpha = 0 only the uncontracted words survive.
+
+    The contributions are integers over one common denominator, so each
+    contraction costs one integer addition and each word of the result
+    one Fraction."""
     alpha = _as_exact(alpha)
     if not alpha:
         return substitute_t(e, 0)
-    powers = [1]
+    e = as_sum(e)
+    den, values = _at_alpha(alpha, ((c, max(w.depth, 1)) for w, c in e.terms.items()))
     out = {}
-    for w, c in as_sum(e).terms.items():
-        value = c.evaluate(alpha)
-        if not value:
+    for w, v in zip(e.terms, values):
+        if not v[0]:  # c(alpha) = 0
             continue
         for u, mono in _s_t_word(w).terms.items():
             (sigma,) = mono.coeffs
-            while len(powers) <= sigma:
-                powers.append(powers[-1] * alpha)
-            out[u] = out.get(u, 0) + value * powers[sigma]
-    return FormalSum(out)
+            out[u] = out.get(u, 0) + v[sigma]
+    return _normal_sum({u: _poly({0: Fraction(x, den)}) for u, x in out.items() if x})
 
 
 @cache
@@ -160,7 +177,7 @@ def log_s(w: Word) -> FormalSum:
         raise ValueError("unit has no contractions")
     x = w.letters
     return FormalSum(
-        (Word(x[:i] + (x[i] + x[i + 1],) + x[i + 2 :]), 1) for i in range(len(x) - 1)
+        (_word(x[:i] + (x[i] + x[i + 1],) + x[i + 2 :]), 1) for i in range(len(x) - 1)
     )
 
 
@@ -190,7 +207,9 @@ def taylor_shift(e, alpha):
             for k in range(j + 1):
                 part = parts[k]
                 part[w] = part.get(w, 0) + c * comb(j, k) * alpha ** (j - k)
-    return [FormalSum(part) for part in parts]
+    return [
+        _normal_sum({w: _poly({0: c}) for w, c in part.items() if c}) for part in parts
+    ]
 
 
 def index_expansions(idx):

@@ -123,13 +123,13 @@ class SpanSolver:
             rvec, rcombo = row
             factor = vec[piv]
             for w, c in rvec.items():
-                nc = vec.get(w, Fraction(0)) - factor * c
+                nc = vec.get(w, 0) - factor * c
                 if nc:
                     vec[w] = nc
                 else:
                     vec.pop(w, None)
             for j, c in rcombo.items():
-                nc = combo.get(j, Fraction(0)) - factor * c
+                nc = combo.get(j, 0) - factor * c
                 if nc:
                     combo[j] = nc
                 else:

@@ -109,6 +109,20 @@ def dictpoly_to_sum(d):
     return total
 
 
+def assert_normal_form(e):
+    """Fail unless e is a FormalSum in normal form: Word keys of positive
+    int letters, each mapped to a nonzero RatPoly whose exponents are ints
+    >= 0 and whose coefficients are nonzero ints or Fractions."""
+    assert type(e) is FormalSum, type(e)
+    for word, poly in e.terms.items():
+        assert type(word) is Word and type(word.letters) is tuple, word
+        assert all(type(k) is int and k >= 1 for k in word.letters), word
+        assert type(poly) is RatPoly and poly.coeffs, (word, poly)
+        for exp, c in poly.coeffs.items():
+            assert type(exp) is int and exp >= 0, (word, poly)
+            assert type(c) in (int, Fraction) and c != 0, (word, poly)
+
+
 def brute_nested_sum(parts, m_max, strict):
     """Direct recursive truncated nested sum, no layering, no compensation."""
     if not parts:

@@ -167,6 +167,34 @@ def test_malformed_t_exits_two_before_any_certificate(capsys, monkeypatch, suite
     assert "malformed rational" in err
 
 
+@pytest.mark.parametrize("suite", ["sum-formula", "cyclic"])
+def test_bad_M_exits_two_before_any_certificate(capsys, monkeypatch, suite):
+    def certify(k):
+        raise AssertionError("a certificate was built")
+
+    monkeypatch.setattr(cli, "verify_sf_reduction", certify)
+    monkeypatch.setattr(cli, "verify_csf_reduction", certify)
+    # M = 3 is below the depth of the deeper weight-9 words only
+    for m in ("0", "3"):
+        argv = ["verify", suite, "--k", "9", "--numeric", "--M", m]
+        code, out, err = run_lines(capsys, argv)
+        assert code == 2 and not out
+        assert f"truncation M={m}" in err
+
+
+@pytest.mark.parametrize("suite", ["sum-formula", "cyclic"])
+def test_weight_below_two_exits_two_before_any_side(capsys, monkeypatch, suite):
+    def build(*args):
+        raise AssertionError("a side or certificate was built")
+
+    for name in ("verify_sf_reduction", "verify_csf_reduction", "verify_identity"):
+        monkeypatch.setattr(cli, name, build)
+    for k in ("-1", "0", "1"):
+        code, out, err = run_lines(capsys, ["verify", suite, "--k", k, "--numeric"])
+        assert code == 2 and not out
+        assert "weight must be at least 2" in err
+
+
 def test_unknown_verb_exits_two(capsys):
     assert cli.run(["frobnicate"]) == 2
     capsys.readouterr()

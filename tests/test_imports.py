@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and the
+unchecked constructors of `algebra` stay out of the command line."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,45 @@ def test_no_module_imports_a_name_it_does_not_use():
         p.name: unused for p in modules if (unused := unused_imports(p.read_text()))
     }
     assert found == {}
+
+
+# The unchecked constructors of `algebra`; input from the command line must
+# always pass the validating ones.
+TRUSTED = {"_poly", "_word", "_normal_sum"}
+
+
+def trusted_uses(source):
+    """Lines that import or name one of the TRUSTED constructors."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {(node.lineno, a.name) for a in node.names if a.name in TRUSTED}
+        elif isinstance(node, ast.Name) and node.id in TRUSTED:
+            found.add((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in TRUSTED:
+            found.add((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_the_checker_sees_a_planted_trusted_call():
+    planted = (
+        "from .algebra import FormalSum, _word\n"
+        "import izeta.algebra as algebra\n"
+        "w = _word((0,))\n"
+        "p = algebra._poly({0: 0.5})\n"
+        "f = getattr(algebra, 'x')._normal_sum\n"
+    )
+    assert trusted_uses(planted) == [
+        (1, "_word"),
+        (3, "_word"),
+        (4, "_poly"),
+        (5, "_normal_sum"),
+    ]
+    assert trusted_uses("from .algebra import FormalSum, Word\nWord((1,))\n") == []
+
+
+def test_trusted_constructors_stay_out_of_the_cli_and_the_public_names():
+    assert trusted_uses((PACKAGE / "cli.py").read_text()) == []
+    assert not TRUSTED & set(izeta.__all__)
+    # they exist, so the checks above guard real names
+    assert all(callable(getattr(izeta.algebra, name)) for name in TRUSTED)

@@ -13,6 +13,7 @@ from izeta.algebra import (
     T,
     Word,
     harmonic_product,
+    substitute_t,
     t_harmonic_product,
 )
 from izeta.interpolate import (
@@ -29,6 +30,7 @@ from izeta.interpolate import (
 )
 
 from helpers import (
+    assert_normal_form,
     dictpoly_to_sum,
     interpolation_by_recursion,
     star_fillings,
@@ -234,6 +236,15 @@ def brute_s_alpha(terms, alpha):
     return {word: c for word, c in out.items() if c}
 
 
+def brute_substitute(terms, alpha):
+    """Each coefficient of {letter tuple: {t exponent: coefficient}} at
+    t = alpha; {letter tuple: Fraction}, zeros dropped."""
+    out = {}
+    for letters, poly in terms.items():
+        out[letters] = sum(Fraction(c) * Fraction(alpha) ** e for e, c in poly.items())
+    return {word: c for word, c in out.items() if c}
+
+
 def single_merges(terms):
     """The single-merge operator on {letter tuple: coefficient}."""
     out = {}
@@ -277,6 +288,56 @@ def test_s_alpha_matches_brute_force(alpha):
     for letters, poly in terms.items():
         e = e + FormalSum.from_word(Word(letters), RatPoly(poly))
     assert as_constants(s_alpha(e, alpha)) == brute_s_alpha(terms, alpha)
+
+
+# plain ints, a tall fraction and a negative one
+INTEGER_AND_TALL_ALPHAS = [2, -1, Fraction(355, 113), Fraction(-2, 7)]
+
+# coefficients over several unrelated denominators, some in t
+MIXED_DENOMINATORS = {
+    (2, 1, 1): {0: Fraction(-3, 4), 2: Fraction(5, 6)},
+    (1, 3): {0: Fraction(1, 2), 1: Fraction(-2, 9)},
+    (4,): {1: 5},
+    (1, 1, 2, 1): {0: Fraction(7, 10)},
+    (3, 2): {3: Fraction(-1, 11), 0: 2},
+}
+
+
+@pytest.mark.parametrize("alpha", INTEGER_AND_TALL_ALPHAS)
+def test_s_alpha_and_substitute_t_over_mixed_denominators(alpha):
+    e = dictpoly_to_sum(MIXED_DENOMINATORS)
+    for got, expected in (
+        (s_alpha(e, alpha), brute_s_alpha(MIXED_DENOMINATORS, alpha)),
+        (substitute_t(e, alpha), brute_substitute(MIXED_DENOMINATORS, alpha)),
+    ):
+        assert_normal_form(got)
+        assert as_constants(got) == expected
+
+
+@pytest.mark.parametrize("alpha", INTEGER_AND_TALL_ALPHAS)
+def test_s_alpha_drops_a_word_whose_image_cancels(alpha):
+    # S^alpha(1,1) = (1,1) + alpha (2): the word (2) cancels, whether its
+    # coefficient is -alpha or -t evaluated at alpha
+    terms = {(1, 1): {0: 1}, (2,): {0: -alpha}}
+    for e in (w(1, 1) - alpha * w(2), w(1, 1) - T * w(2)):
+        got = s_alpha(e, alpha)
+        assert_normal_form(got)
+        assert Word((2,)) not in got.terms
+        assert as_constants(got) == brute_s_alpha(terms, alpha) == {(1, 1): 1}
+
+
+@pytest.mark.parametrize("alpha", INTEGER_AND_TALL_ALPHAS)
+def test_substitute_t_on_polynomial_coefficients(alpha):
+    # (3) has the coefficient t - alpha, which vanishes at alpha
+    terms = {
+        (3,): {1: 1, 0: -alpha},
+        (2, 1): {2: Fraction(1, 2), 0: 3},
+        (1, 2, 2): {4: Fraction(-5, 7), 1: Fraction(2, 3)},
+    }
+    got = substitute_t(dictpoly_to_sum(terms), alpha)
+    assert_normal_form(got)
+    assert Word((3,)) not in got.terms
+    assert as_constants(got) == brute_substitute(terms, alpha)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

@@ -1,0 +1,156 @@
+"""Every public exact operation returns its result in normal form, also
+when terms cancel, and the public constructors still reject bad input."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from izeta.algebra import (
+    FormalSum,
+    RatPoly,
+    T,
+    Word,
+    _normal_sum,
+    _poly,
+    harmonic_product,
+    star_product,
+    substitute_t,
+    t_harmonic_product,
+)
+from izeta.identities import cyclic_C, cyclic_Sigma, sum_words
+from izeta.interpolate import d_dt, log_s, s_alpha, s_poly, s_t, taylor_shift
+
+from helpers import assert_normal_form
+
+PRODUCTS = [harmonic_product, star_product, t_harmonic_product]
+
+# few distinct coefficients and short words over three letters, so that
+# terms often meet and cancel
+coeff_st = st.sampled_from(
+    [1, -1, 2, Fraction(1, 2), Fraction(-1, 3), T, -T, 1 - T, T * T - T, 2 * T - 1]
+)
+letters_st = st.lists(st.integers(min_value=1, max_value=3), max_size=3).map(tuple)
+element_st = st.lists(st.tuples(letters_st, coeff_st), max_size=5).map(
+    lambda pairs: FormalSum((Word(u), c) for u, c in pairs)
+)
+nonempty_st = st.lists(
+    st.integers(min_value=1, max_value=4), min_size=1, max_size=4
+).map(Word)
+alpha_st = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=7),
+)
+
+
+def w(*letters):
+    return FormalSum.from_word(Word(letters))
+
+
+def assert_all_normal(*results):
+    for r in results:
+        for e in r if isinstance(r, list) else [r]:
+            assert_normal_form(e)
+
+
+@given(element_st, element_st, alpha_st, coeff_st)
+@settings(max_examples=60, deadline=None)
+def test_operations_on_elements_stay_in_normal_form(x, y, alpha, param):
+    assert_all_normal(
+        *(product(x, y) for product in PRODUCTS),
+        x + y,
+        x - y,
+        x - x,
+        s_t(x),
+        s_alpha(x, alpha),
+        s_poly(x, param),
+        s_poly(x, 0),
+        substitute_t(x, alpha),
+        taylor_shift(x, alpha),
+        d_dt(x),
+    )
+
+
+@given(nonempty_st, st.integers(min_value=2, max_value=7), st.data())
+@settings(max_examples=40, deadline=None)
+def test_word_operations_stay_in_normal_form(word, k, data):
+    n = data.draw(st.integers(min_value=1, max_value=k - 1))
+    assert_all_normal(log_s(word), cyclic_C(word), cyclic_Sigma(word), sum_words(k, n))
+
+
+@pytest.mark.parametrize("alpha", [2, -1, Fraction(1, 3), Fraction(355, 113)])
+def test_cancelling_inputs_leave_no_zero_behind(alpha):
+    c = Fraction(1, 2)
+    one = FormalSum.unit()
+    products = [product(w(1) + c * one, w(1) - c * one) for product in PRODUCTS]
+    assert_all_normal(*products)
+    # the word (1) meets the coefficients c and -c
+    assert all(Word((1,)) not in e.terms for e in products)
+    cases = [
+        s_t(w(1, 1) - T * w(2)),
+        s_alpha(w(1, 1) - alpha * w(2), alpha),
+        substitute_t((T - alpha) * w(3), alpha),
+        d_dt(w(2) + T * w(3)),
+        s_poly(w(1, 1), 0),
+        *taylor_shift((T - alpha) * w(2), alpha),
+    ]
+    assert_all_normal(*cases)
+    assert [len(e) for e in cases] == [1, 1, 0, 1, 1, 0, 1]
+
+
+def test_the_check_sees_a_stored_zero():
+    assert_normal_form(_normal_sum({Word((2,)): _poly({0: 1})}))
+    for bad in (
+        _normal_sum({Word((2,)): _poly({})}),
+        _normal_sum({Word((2,)): _poly({0: 0})}),
+        _normal_sum({Word((2,)): _poly({0: 0.5})}),
+        _normal_sum({(2,): _poly({0: 1})}),
+    ):
+        with pytest.raises(AssertionError):
+            assert_normal_form(bad)
+
+
+def test_public_constructors_still_reject_bad_input():
+    with pytest.raises(TypeError):
+        FormalSum({(1, 2): 1})
+    with pytest.raises(TypeError):
+        FormalSum({Word((1,)): 0.5})
+    with pytest.raises(TypeError):
+        RatPoly({0: 0.5})
+    with pytest.raises(ValueError):
+        RatPoly({-1: 1})
+    with pytest.raises(ValueError):
+        Word((0,))
+    with pytest.raises(ValueError):
+        Word((2, -1))
+
+
+def test_formal_sum_adds_a_repeated_word():
+    two = Word((2,))
+    assert FormalSum([(two, T), (two, T)]) == FormalSum({two: 2 * T})
+    assert FormalSum([(two, T), (two, T), (two, T)]) == FormalSum({two: 3 * T})
+    assert FormalSum([(two, 1), (two, 1)]) == FormalSum({two: 2})
+    assert FormalSum([(two, T), (two, 0), (two, -T)]).is_zero()
+
+
+@given(st.lists(st.tuples(letters_st, coeff_st), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_formal_sum_coefficients_are_the_sums_of_the_given_ones(pairs):
+    # coeff_st repeats the same RatPoly objects, so a word often meets
+    # the very object it already holds
+    expected = {}
+    for u, c in pairs:
+        for e, a in RatPoly(c).coeffs.items():
+            expected[u, e] = expected.get((u, e), 0) + a
+    got = {
+        (v.letters, e): a
+        for v, p in FormalSum((Word(u), c) for u, c in pairs).items()
+        for e, a in p.coeffs.items()
+    }
+    assert got == {key: a for key, a in expected.items() if a}
+
+
+def test_evaluate_returns_a_fraction():
+    for p in (RatPoly(0), RatPoly(2), T, 1 - T):
+        assert type(p.evaluate(Fraction(1, 2))) is Fraction
+        assert type(p.evaluate(3)) is Fraction
