@@ -197,52 +197,44 @@ T = RatPoly({1: 1})
 
 
 def _check_letter(k):
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ValueError(f"letter subscript must be a positive integer, got {k!r}")
     return k
 
 
-class Word:
-    """A word z_{k1}...z_{kn}, stored as the tuple of its subscripts.
+class Word(tuple):
+    """A word z_{k1}...z_{kn}: the tuple (k1, ..., kn) of its subscripts.
 
-    The empty word is the unit of all three products.  Words order
-    lexicographically by subscript tuple, which fixes the term order used
-    for printing and pivot selection.
+    A Word is that tuple, so it hashes, compares and orders as one:
+    Word(x) == tuple(x), and words order lexicographically by subscripts,
+    which fixes the term order used for printing and pivot selection.
+    Tuple operations such as w + v and n * w return plain tuples.  The
+    empty word is the unit of all three products.
     """
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters=()):
-        self.letters = tuple(_check_letter(int(k)) for k in letters)
+    def __new__(cls, letters=()):
+        return tuple.__new__(cls, [_check_letter(k) for k in letters])
+
+    @property
+    def letters(self):
+        """The subscripts as a plain tuple."""
+        return tuple(self)
 
     @property
     def weight(self):
-        return sum(self.letters)
+        return sum(self)
 
     @property
     def depth(self):
-        return len(self.letters)
+        return len(self)
 
     def to_index(self):
-        return Index(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Word) and self.letters == other.letters
-
-    def __hash__(self):
-        return hash(self.letters)
-
-    def __lt__(self, other):
-        return self.letters < other.letters
-
-    def __le__(self, other):
-        return self.letters <= other.letters
+        return Index(self)
 
     def __str__(self):
-        return ",".join(str(k) for k in self.letters)
+        return ",".join(map(str, self))
 
     def __repr__(self):
         return f"Word('{self}')"
@@ -252,54 +244,33 @@ def _word(letters):
     """Word over the tuple `letters` as given, unchecked: positive ints
     taken from validated words, never caller input (see the module
     docstring)."""
-    w = object.__new__(Word)
-    w.letters = letters
-    return w
+    return tuple.__new__(Word, letters)
 
 
-class Index:
-    """Exponent tuple (k1,...,kn) of a nested zeta sum.
+class Index(Word):
+    """Exponent tuple (k1,...,kn) of a nested zeta sum: a nonempty Word.
 
-    Same data as a nonempty word; kept separate because indices carry the
-    admissibility question (k1 >= 2) that decides convergence.
+    An Index equals the Word, and the tuple, of the same subscripts; it
+    adds the admissibility question (k1 >= 2) that decides convergence.
+    Formal sums hold Words only, so `to_word` gives the Word to use there.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts):
-        parts = tuple(int(k) for k in parts)
-        if not parts:
+    def __new__(cls, parts):
+        self = super().__new__(cls, parts)
+        if not self:
             raise ValueError("index must be nonempty")
-        for k in parts:
-            _check_letter(k)
-        self.parts = parts
+        return self
 
-    @property
-    def weight(self):
-        return sum(self.parts)
-
-    @property
-    def depth(self):
-        return len(self.parts)
+    parts = Word.letters  # the exponents as a plain tuple
 
     @property
     def admissible(self):
-        return self.parts[0] >= 2
+        return self[0] >= 2
 
     def to_word(self):
-        return Word(self.parts)
-
-    def __eq__(self, other):
-        return isinstance(other, Index) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Index", self.parts))
-
-    def __lt__(self, other):
-        return self.parts < other.parts
-
-    def __str__(self):
-        return ",".join(str(k) for k in self.parts)
+        return _word(self)
 
     def __repr__(self):
         return f"Index('{self}')"
@@ -330,9 +301,7 @@ class FormalSum:
 
     @classmethod
     def from_word(cls, word, coeff=1):
-        if not isinstance(word, Word):
-            word = Word(word)
-        return cls({word: coeff})
+        return cls({word if isinstance(word, Word) else Word(word): coeff})
 
     def is_zero(self):
         return not self.terms
@@ -412,8 +381,8 @@ def _checked_terms(terms):
     """The (Word, RatPoly) pairs of caller input `terms` (a dict or
     pairs), each checked, with zero coefficients skipped."""
     for w, c in terms.items() if isinstance(terms, dict) else terms:
-        if not isinstance(w, Word):
-            raise TypeError("FormalSum keys must be Words")
+        if type(w) is not Word:  # an Index too: keys are exactly Words
+            raise TypeError(f"FormalSum keys must be Words, got {type(w).__name__}")
         p = c if isinstance(c, RatPoly) else RatPoly(c)
         if p.coeffs:
             yield w, p
@@ -498,9 +467,9 @@ def circle_act(a, e):
     # distinct words stay distinct, so no coefficients merge
     return _normal_sum(
         {
-            _word((a + w.letters[0],) + w.letters[1:]): c
+            _word((a + w[0],) + w[1:]): c
             for w, c in as_sum(e).terms.items()
-            if w.letters
+            if w
         }
     )
 
@@ -510,7 +479,7 @@ def _prepend(a, e, scale=1):
     each coefficient times the nonzero scale."""
     one = scale == 1
     for w, c in e.terms.items():
-        yield _word((a,) + w.letters), c if one else c * scale
+        yield _word((a,) + w), c if one else c * scale
 
 
 def _quasi_shuffle(merge, circ=None):
@@ -531,12 +500,12 @@ def _quasi_shuffle(merge, circ=None):
 
     @cache
     def word_product(w1: Word, w2: Word) -> FormalSum:
-        if not w1.letters:
+        if not w1:
             return FormalSum.from_word(w2)
-        if not w2.letters:
+        if not w2:
             return FormalSum.from_word(w1)
-        a, u = w1.letters[0], _word(w1.letters[1:])
-        b, v = w2.letters[0], _word(w2.letters[1:])
+        a, u = w1[0], _word(w1[1:])
+        b, v = w2[0], _word(w2[1:])
         inner = word_product(u, v)
         out = dict(_prepend(a, word_product(u, w2)))
         _add_into(out, _prepend(b, word_product(w1, v)))

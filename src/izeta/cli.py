@@ -21,19 +21,13 @@ from .algebra import (
     star_product,
     t_harmonic_product,
 )
-from .identities import (
-    alt_sum,
-    cyclic_sides,
-    sum_formula_sides,
-    two_one_lhs_index,
-    two_one_rhs_word,
-    words_of_weight,
-)
+from .identities import alt_sum, two_one_lhs_index, two_one_rhs_word
 from .interpolate import s_t, zeta_t_words
 from .numeric import BOUND, METHOD, eval_element, kernel_name, mzsv, verify_identity
 from .reduction import (
-    _check_weight,
     certificate_records,
+    cyclic_relations,
+    sum_formula_relations,
     verify_csf_reduction,
     verify_sf_reduction,
 )
@@ -129,29 +123,18 @@ def _cmd_eval(args):
     return 0
 
 
-def _sum_formula_sides(k):
-    for n in range(1, k):
-        yield f"k={k} n={n}", sum_formula_sides(k, n)
-
-
-def _cyclic_sides(k):
-    for w in words_of_weight(k):
-        if w.depth < k:
-            yield f"k={k} word={w}", cyclic_sides(w)
-
-
 def _cmd_verify_reduction(args):
     """Certify a suite and, under --numeric, evaluate both sides of each
     identity at t; exit 1 if a certificate or a numeric check fails."""
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t) if args.numeric else None
-    _check_weight(args.k)
+    relations = args.relations(args.k)
     # The sides are built one identity at a time and evaluated before any
     # certificate, so the evaluator rejects a bad --M at the first side
     # too deep for it.
     reports = [
         (label, verify_identity(lhs, rhs, [t], args.M))
-        for label, (lhs, rhs) in (args.sides(args.k) if args.numeric else ())
+        for label, (lhs, rhs), _ in (relations if args.numeric else ())
     ]
     certs = args.certify(args.k)
     oks = [c.success and c.verify() for c in certs]
@@ -179,9 +162,9 @@ def _cmd_verify_reduction(args):
 
 def _cmd_verify_alt_sum(args):
     w = parse_word(args.word)
-    if not w.letters:
+    if not w:
         raise ValueError("alt-sum needs a nonempty letter sequence")
-    e = alt_sum(w.letters)
+    e = alt_sum(w)
     ok = e.is_zero()
     human = f"alt-sum {w}: {'vanishes' if ok else f'NONZERO remainder {e}'}"
     _emit(args, human, {"word": str(w), "remainder": str(e), "ok": ok})
@@ -201,7 +184,7 @@ def _cmd_verify_two_one(args):
     ok = residual <= tol
     human = (
         f"{'ok  ' if ok else 'FAIL'} zeta*({idx}) = {lhs.value!r} vs "
-        f"{scale}*zeta^(1/2)({word.to_index()}) = {rhs_value!r} "
+        f"{scale}*zeta^(1/2)({word}) = {rhs_value!r} "
         f"|diff|={residual:.3e} tol={tol:.3e}"
     )
     record = {
@@ -254,10 +237,10 @@ def build_parser():
     pv = sub.add_parser("verify", help="run an identity suite")
     vsub = pv.add_subparsers(dest="suite", required=True)
 
-    for suite, about, certify, sides in (
+    for suite, about, certify, relations in (
         ("sum-formula", "fixed-weight sum reductions", verify_sf_reduction,
-         _sum_formula_sides),
-        ("cyclic", "cyclic sum reductions", verify_csf_reduction, _cyclic_sides),
+         sum_formula_relations),
+        ("cyclic", "cyclic sum reductions", verify_csf_reduction, cyclic_relations),
     ):
         p = vsub.add_parser(suite, help=about)
         p.add_argument("--k", type=int, required=True)
@@ -265,7 +248,7 @@ def build_parser():
         p.add_argument("--t", default="1/2", help="exact rational p/q")
         p.add_argument("--M", type=int, default=100000)
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_verify_reduction, certify=certify, sides=sides)
+        p.set_defaults(func=_cmd_verify_reduction, certify=certify, relations=relations)
 
     p = vsub.add_parser("alt-sum", help="alternating-sum vanishing")
     p.add_argument("--word", required=True)

@@ -106,24 +106,19 @@ def _rotations(parts):
 
 def cyclic_C(w):
     """Sum over rotations of w with the leading exponent raised by one."""
-    parts = w.letters
-    if not parts:
+    if not w:
         raise ValueError("cyclic operators need a nonempty word")
-    return FormalSum(
-        (_word((rot[0] + 1,) + rot[1:]), 1)
-        for rot in _rotations(parts)
-    )
+    return FormalSum((_word((rot[0] + 1,) + rot[1:]), 1) for rot in _rotations(w))
 
 
 def cyclic_Sigma(w):
     """Sum over rotations and over splittings of the rotated head: the
     head k becomes k+1-j in front and a trailing letter j, 1 <= j < k."""
-    parts = w.letters
-    if not parts:
+    if not w:
         raise ValueError("cyclic operators need a nonempty word")
     return FormalSum(
         (_word((rot[0] + 1 - j,) + rot[1:] + (j,)), 1)
-        for rot in _rotations(parts)
+        for rot in _rotations(w)
         for j in range(1, rot[0])
     )
 
@@ -131,13 +126,9 @@ def cyclic_Sigma(w):
 def cyclic_delta(w):
     """Sum over cyclic merges of two adjacent exponents (cyclically), the
     merged entry leading.  Defined for words of length >= 2."""
-    parts = w.letters
-    if len(parts) < 2:
+    if len(w) < 2:
         raise ValueError("delta undefined for words of length < 2")
-    return FormalSum(
-        (_word((rot[0] + rot[1],) + rot[2:]), 1)
-        for rot in _rotations(parts)
-    )
+    return FormalSum((_word((rot[0] + rot[1],) + rot[2:]), 1) for rot in _rotations(w))
 
 
 def cyclic_sides(w):
@@ -187,14 +178,20 @@ def alt_sum(letters):
     return total
 
 
-def two_one_lhs_index(j):
-    """Index ({2}^j1, 1, {2}^j2, 1, ..., {2}^jn, 1).  Admissibility of the
-    star value requires j1 >= 1."""
+def _blocks(j):
+    """The block sizes j1, ..., jn as ints: at least one, none negative."""
     js = tuple(int(x) for x in j)
     if not js:
         raise ValueError("need at least one block")
     if any(x < 0 for x in js):
         raise ValueError("block sizes must be nonnegative")
+    return js
+
+
+def two_one_lhs_index(j):
+    """Index ({2}^j1, 1, {2}^j2, 1, ..., {2}^jn, 1).  Admissibility of the
+    star value requires j1 >= 1."""
+    js = _blocks(j)
     if js[0] < 1:
         raise ValueError("non-admissible star index: leading block empty")
     parts = []
@@ -206,11 +203,7 @@ def two_one_lhs_index(j):
 
 def two_one_rhs_word(j):
     """Word (2*j1+1, ..., 2*jn+1) together with the scale 2^n."""
-    js = tuple(int(x) for x in j)
-    if not js:
-        raise ValueError("need at least one block")
-    if any(x < 0 for x in js):
-        raise ValueError("block sizes must be nonnegative")
+    js = _blocks(j)
     return Word(2 * x + 1 for x in js), Fraction(2) ** len(js)
 
 
@@ -254,20 +247,20 @@ def odd_product_check(u, v):
     product computed in the z-letters agrees with the y-word recursion
     (y_j standing for twice z_{2j+1}, circle acting by index addition)."""
     for w in (u, v):
-        if any(a % 2 == 0 for a in w.letters):
+        if any(a % 2 == 0 for a in w):
             raise ValueError(f"outside odd subalgebra: {w!r}")
     half = Fraction(1, 2)
     direct = substitute_t(t_harmonic_product(as_sum(u), as_sum(v)), half)
     scale = Fraction(2) ** (u.depth + v.depth)
     in_y = {}
     for w, c in direct.terms.items():
-        if any(a % 2 == 0 for a in w.letters):
+        if any(a % 2 == 0 for a in w):
             return False  # escaped the odd subalgebra
-        yw = tuple((a - 1) // 2 for a in w.letters)
+        yw = tuple((a - 1) // 2 for a in w)
         coef = c.constant() * scale / Fraction(2) ** w.depth
         in_y[yw] = in_y.get(yw, 0) + coef
     in_y = {w: c for w, c in in_y.items() if c}
-    yu = tuple((a - 1) // 2 for a in u.letters)
-    yv = tuple((a - 1) // 2 for a in v.letters)
+    yu = tuple((a - 1) // 2 for a in u)
+    yv = tuple((a - 1) // 2 for a in v)
     recursed = dict(_y_product(yu, yv))
     return in_y == recursed

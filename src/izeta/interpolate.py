@@ -68,7 +68,6 @@ def enumerate_contractions(w):
     n = w.depth
     if n == 0:
         raise ValueError("unit has no contractions")
-    letters = w.letters
     out = []
     for mask in range(1 << (n - 1)):
         marks = [0]
@@ -77,7 +76,7 @@ def enumerate_contractions(w):
                 marks.append(gap)
         marks.append(n)
         blocks = tuple(
-            sum(letters[marks[i] : marks[i + 1]]) for i in range(len(marks) - 1)
+            sum(w[marks[i] : marks[i + 1]]) for i in range(len(marks) - 1)
         )
         out.append((Contraction(tuple(marks), n - len(blocks)), _word(blocks)))
     return out
@@ -90,13 +89,12 @@ def _s_t_word(w: Word) -> FormalSum:
     determine it), so every coefficient is one monomial t^sigma."""
     if w.depth <= 1:
         return FormalSum.from_word(w)
-    a = w.letters[0]
+    a = w[0]
     acc = {}
-    for u, mono in _s_t_word(_word(w.letters[1:])).terms.items():
-        head, rest = u.letters[0], u.letters[1:]
-        acc[_word((a, head) + rest)] = mono
+    for u, mono in _s_t_word(_word(w[1:])).terms.items():
+        acc[_word((a,) + u)] = mono
         (sigma,) = mono.coeffs
-        acc[_word((a + head,) + rest)] = _poly({sigma + 1: 1})
+        acc[_word((a + u[0],) + u[1:])] = _poly({sigma + 1: 1})
     return _normal_sum(acc)
 
 
@@ -168,16 +166,14 @@ def s_alpha(e, alpha):
     return _normal_sum({u: _poly({0: Fraction(x, den)}) for u, x in out.items() if x})
 
 
-@cache
 def log_s(w: Word) -> FormalSum:
     """Logarithm of the operator family, normalized at parameter 1: the
     sum of the n - 1 single merges of adjacent letters of w.  Zero on
     letters."""
     if w.depth == 0:
         raise ValueError("unit has no contractions")
-    x = w.letters
     return FormalSum(
-        (_word(x[:i] + (x[i] + x[i + 1],) + x[i + 2 :]), 1) for i in range(len(x) - 1)
+        (_word(w[:i] + (w[i] + w[i + 1],) + w[i + 2 :]), 1) for i in range(len(w) - 1)
     )
 
 
@@ -220,7 +216,7 @@ def index_expansions(idx):
     """
     for u, mono in _s_t_word(idx.to_word()).terms.items():
         (sigma,) = mono.coeffs
-        yield Index(u.letters), sigma
+        yield Index(u), sigma
 
 
 def zeta_t_words(idx):

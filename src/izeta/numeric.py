@@ -65,9 +65,6 @@ class NumResult:
     M: int
     meta: str
 
-    def as_record(self):
-        return {"value": self.value, "err": self.err, "M": self.M, "meta": self.meta}
-
     def __str__(self):
         return f"{self.meta} = {self.value!r} (err<={self.err:.3e}, M={self.M})"
 
@@ -162,7 +159,7 @@ def _result(coeffs, M, meta):
     den = math.lcm(*(c.denominator for c in coeffs.values()))
     value = bound = 0
     for w, c in coeffs.items():
-        v, b = _strict(w.letters, M)
+        v, b = _strict(w, M)
         scale = den // c.denominator
         value += c.numerator * scale * v
         bound += abs(c.numerator) * scale * b
@@ -185,7 +182,7 @@ def mzv(idx, M):
         raise ValueError(f"divergent series: index {idx} is not admissible")
     if M < idx.depth:
         raise ValueError(f"truncation M={M} below depth {idx.depth}")
-    return _result({idx.to_word(): 1}, int(M), f"zeta({idx})")
+    return _result({idx: 1}, int(M), f"zeta({idx})")
 
 
 def mzsv(idx, M):
@@ -210,7 +207,7 @@ def eval_element(e, alpha, M):
     e = substitute_t(as_sum(e), alpha)
     coeffs = {}
     for w, poly in e.items():
-        if not w.letters or w.letters[0] < 2:
+        if not w or w[0] < 2:
             raise ValueError(f"divergent term: word [{w}]")
         if M < w.depth:
             raise ValueError(f"truncation M={M} below depth {w.depth}")

@@ -52,17 +52,16 @@ class RelationCertificate:
         coefficient by coefficient of each (word, power of t)."""
         if self.coefficients is None:
             return False
-        acc = {}  # (letters, power of t) -> coefficient
+        acc = {}  # (word, power of t) -> coefficient
         for w, p in self.target.terms.items():
             for e, x in p.coeffs.items():
-                acc[w.letters, e] = x
+                acc[w, e] = x
         for c, g in zip(self.coefficients, self.generators):
             if c:
                 c = _as_exact(c)
                 for w, p in as_sum(g).terms.items():
                     for e, x in p.coeffs.items():
-                        key = w.letters, e
-                        acc[key] = acc.get(key, 0) - c * x
+                        acc[w, e] = acc.get((w, e), 0) - c * x
         return not any(acc.values())
 
     def to_record(self):
@@ -169,18 +168,22 @@ def span_membership(target, generators, label=""):
     return RelationCertificate(as_sum(target), list(generators), coeffs, label)
 
 
-def _certify(relations, alpha):
+def _certify(suite, relations, alpha):
     """Certify, power by power in (t - alpha), that each Taylor coefficient
     of each relation lies in the span of the relations evaluated at t = alpha.
 
-    `relations` lists (label, element, number of powers) triples; each
-    element's Taylor coefficients are padded with zeros to its number of
-    powers.  The generators are the coefficients of (t - alpha)^0."""
-    shifted = [taylor_shift(e, alpha) for _, e, _ in relations]
-    gens = [parts[0] for parts in shifted]
+    `relations` yields (label, (lhs, rhs), number of powers) triples; the
+    Taylor coefficients of each lhs - rhs are padded with zeros to its
+    number of powers.  The generators are the coefficients of
+    (t - alpha)^0."""
+    shifted = [
+        (f"{suite} {label}", taylor_shift(sub(*sides), alpha), powers)
+        for label, sides, powers in relations
+    ]
+    gens = [parts[0] for _, parts, _ in shifted]
     solver = SpanSolver(gens)
     certs = []
-    for (label, _, powers), parts in zip(relations, shifted):
+    for label, parts, powers in shifted:
         parts += [FormalSum.zero()] * (powers - len(parts))
         for power, part in enumerate(parts):
             coeffs = solver.coefficients_for(part)
@@ -195,29 +198,35 @@ def _check_weight(k):
         raise ValueError("weight must be at least 2")
 
 
+def sum_formula_relations(k):
+    """The weight-k sum formula, one relation per depth n < k, as
+    (label, (lhs, rhs), number of powers of t - alpha): the degree in t is
+    below n.  The weight is checked at once; each relation's sides are
+    built when it is reached."""
+    _check_weight(k)
+    return ((f"k={k} n={n}", sum_formula_sides(k, n), n) for n in range(1, k))
+
+
+def cyclic_relations(k):
+    """The weight-k cyclic sum formula, one relation per word w of weight
+    k and depth below k, as in `sum_formula_relations`: the degree in t is
+    at most the depth of w."""
+    _check_weight(k)
+    return (
+        (f"k={k} word={w}", cyclic_sides(w), w.depth + 1)
+        for w in words_of_weight(k)
+        if w.depth < k
+    )
+
+
 def verify_sf_reduction(k, alpha=0):
     """Certify, coefficient by coefficient in (t - alpha), that the
     weight-k sum-family identity reduces to the depth-graded generators
     evaluated at alpha.  Returns one certificate per (depth, power)."""
-    _check_weight(k)
-    return _certify(
-        [
-            (f"sum-formula k={k} n={n}", sub(*sum_formula_sides(k, n)), n)
-            for n in range(1, k)  # degree in t is < n
-        ],
-        alpha,
-    )
+    return _certify("sum-formula", sum_formula_relations(k), alpha)
 
 
 def verify_csf_reduction(k, alpha=0):
     """Certify that each cyclic generator of weight k reduces, power by
     power in (t - alpha), to the span of the generators' values at alpha."""
-    _check_weight(k)
-    return _certify(
-        [
-            (f"cyclic k={k} word={w}", sub(*cyclic_sides(w)), w.depth + 1)
-            for w in words_of_weight(k)
-            if w.depth < k  # degree in t is <= depth
-        ],
-        alpha,
-    )
+    return _certify("cyclic", cyclic_relations(k), alpha)

@@ -11,6 +11,7 @@ from izeta.algebra import (
     RatPoly,
     T,
     Word,
+    as_sum,
     circle,
     circle_act,
     harmonic_product,
@@ -129,6 +130,43 @@ def test_index_admissibility_and_word_view():
     assert not parse_index("1,2").admissible
     with pytest.raises(ValueError):
         parse_index("2,,1")
+
+
+@pytest.mark.parametrize("x", [(), (1,), (2, 1), (3, 1, 2)])
+def test_a_word_is_its_tuple(x):
+    assert Word.__hash__ is tuple.__hash__
+    assert hash(Word(x)) == hash(x) and Word(x) == x and Word(Word(x)) == x
+    assert type(Word(x).letters) is tuple
+    if x:
+        assert Index(x) == Word(x) and hash(Index(x)) == hash(x)
+        assert type(Index(x).parts) is tuple
+    # tuple operations give plain tuples
+    assert type(Word(x) + Word((1,))) is tuple and type(2 * Word(x)) is tuple
+
+
+@pytest.mark.parametrize(
+    "letters", [(1.5, 2.9), (2.0,), ("2",), (2, "1"), (True,), (2, 1.0)]
+)
+def test_letters_must_be_ints(letters):
+    for cls in (Word, Index):
+        with pytest.raises(ValueError, match="positive integer"):
+            cls(letters)
+
+
+def test_an_index_is_never_a_formal_sum_key():
+    with pytest.raises(ValueError, match="index must be nonempty"):
+        Index(())
+    idx = Index((2, 1))
+    for make in (
+        lambda: FormalSum({idx: 1}),
+        lambda: FormalSum([(idx, 1)]),
+        lambda: FormalSum.from_word(idx),
+        lambda: as_sum(idx),
+    ):
+        with pytest.raises(TypeError):
+            make()
+    assert FormalSum.from_word(idx.to_word()) == w(2, 1)
+    assert type(idx.to_word()) is Word
 
 
 # ------------------------------------------------------------- FormalSum

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and the
-unchecked constructors of `algebra` stay out of the command line."""
+"""Every name a package module imports is used in that module, the
+unchecked constructors of `algebra` stay out of the command line, and the
+command line imports no private name of the package."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,43 @@ def test_trusted_constructors_stay_out_of_the_cli_and_the_public_names():
     assert not TRUSTED & set(izeta.__all__)
     # they exist, so the checks above guard real names
     assert all(callable(getattr(izeta.algebra, name)) for name in TRUSTED)
+
+
+def private_imports(source):
+    """Underscore-prefixed names, or modules, that the source imports from
+    the package, relatively or as `izeta`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")
+            if node.level or module[0] == "izeta":
+                found |= {(node.lineno, n) for n in module}
+                found |= {(a.lineno, a.name) for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                parts = a.name.split(".")
+                if parts[0] == "izeta":
+                    found |= {(a.lineno, n) for n in parts}
+    return sorted((line, n) for line, n in found if n.startswith("_"))
+
+
+def test_the_checker_sees_a_planted_private_import():
+    planted = (
+        "from __future__ import annotations\n"
+        "from .reduction import (\n    certificate_records,\n    _check_weight,\n)\n"
+        "from izeta.algebra import Word, _as_exact as exact\n"
+        "import izeta._hidden\n"
+        "from ._kernel import run\n"
+        "from os import _exit\n"
+    )
+    assert private_imports(planted) == [
+        (4, "_check_weight"),
+        (6, "_as_exact"),
+        (7, "_hidden"),
+        (8, "_kernel"),
+    ]
+    assert private_imports("from .algebra import Word\nimport izeta.cli\n") == []
+
+
+def test_the_cli_imports_no_private_name_of_the_package():
+    assert private_imports((PACKAGE / "cli.py").read_text()) == []
