@@ -59,7 +59,8 @@ class RatPoly:
             coeffs = {0: coeffs}  # a constant, checked below
         cleaned = {}
         for e, c in coeffs.items():
-            e = int(e)
+            if type(e) is not int:
+                raise ValueError(f"exponent must be an integer, got {e!r}")
             if e < 0:
                 raise ValueError("negative exponent")
             c = _as_exact(c)

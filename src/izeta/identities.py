@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
 from math import comb
 
 from .algebra import (
@@ -26,56 +25,31 @@ from .algebra import (
     t_harmonic_product,
     word_linear,
 )
-from .interpolate import s_poly, s_t
+from .interpolate import _s_t_word, s_poly, s_t
 
 
 def words_of_weight(k):
-    """All 2^(k-1) words of weight k, ascending in the split bitmask."""
+    """All 2^(k-1) words of weight k, ascending in the split bitmask: the
+    contractions of 1^k, read from the operator's expansion of that word
+    backwards."""
     if k < 1:
         raise ValueError("weight must be positive")
-    out = []
-    for mask in range(1 << (k - 1)):
-        parts = []
-        cur = 1
-        for i in range(k - 1):
-            if (mask >> i) & 1:
-                parts.append(cur)
-                cur = 1
-            else:
-                cur += 1
-        parts.append(cur)
-        out.append(Word(parts))
-    return out
-
-
-def _compositions(total, parts):
-    """Compositions of `total` into `parts` entries, each >= 1."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, total), parts - 1):
-        prev = 0
-        comp = []
-        for c in cuts:
-            comp.append(c - prev)
-            prev = c
-        comp.append(total - prev)
-        yield tuple(comp)
+    return list(reversed(_s_t_word(_word((1,) * k)).words()))
 
 
 def sum_words(k, n):
     """Sum of all admissible words of weight k and depth n (coefficient 1
     each); there are C(k-2, n-1) of them.  Enumerated in colexicographic
-    order of the exponent tuples."""
+    order of the exponent tuples.
+
+    They are the contractions of z_2 z_1^(k-2) with k-1-n merges, the
+    t^(k-1-n) part of the operator's expansion of that word, which lists
+    its words in colexicographic order."""
     if n < 1 or k <= n:
         raise ValueError(f"empty family: weight {k}, depth {n}")
-    comps = []
-    for first in range(2, k - n + 2):
-        for rest in _compositions(k - first, n - 1):
-            comps.append((first,) + rest)
-    comps.sort(key=lambda c: c[::-1])
-    return FormalSum((Word(c), 1) for c in comps)
+    expansion = _s_t_word(_word((2,) + (1,) * (k - 2))).terms
+    merges = k - 1 - n
+    return FormalSum((u, 1) for u, mono in expansion.items() if mono.degree == merges)
 
 
 def sum_poly(k, n):
@@ -164,7 +138,7 @@ def alt_sum(letters):
     """Alternating sum over cut points of the sequence a_1..a_n of
     (operator at t on the prefix) * (operator at 1-t on the reversed
     suffix); identically zero as a formal sum over Q[t]."""
-    letters = tuple(int(a) for a in letters)
+    letters = Word(letters)
     if not letters:
         raise ValueError("letter sequence must be nonempty")
     n = len(letters)
@@ -180,9 +154,11 @@ def alt_sum(letters):
 
 def _blocks(j):
     """The block sizes j1, ..., jn as ints: at least one, none negative."""
-    js = tuple(int(x) for x in j)
+    js = tuple(j)
     if not js:
         raise ValueError("need at least one block")
+    if any(type(x) is not int for x in js):
+        raise ValueError(f"block sizes must be integers, got {js!r}")
     if any(x < 0 for x in js):
         raise ValueError("block sizes must be nonnegative")
     return js

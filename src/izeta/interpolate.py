@@ -14,7 +14,8 @@ distinct, each with one monomial t^sigma, so `s_t`, `s_poly` and
 `s_alpha` only shift degrees or multiply by alpha^sigma; `s_alpha` does
 so in integers over one common denominator.  Results are built with the
 trusted constructors of `algebra` from the validated input.
-`enumerate_contractions` lists the same patterns explicitly.
+`enumerate_contractions` reads the same expansion as explicit patterns,
+and so do `identities.words_of_weight` and `identities.sum_words`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import comb
 
 from .algebra import (
@@ -64,22 +66,21 @@ def enumerate_contractions(w):
 
     Deterministic order: ascending over the bitmask of merged gaps, the
     gap after the first letter being the most significant bit.
+
+    The images are the words of the operator's expansion of w; a block
+    ends where a partial sum of the image meets a partial sum of w.
     """
-    n = w.depth
-    if n == 0:
+    if w.depth == 0:
         raise ValueError("unit has no contractions")
+    mark = {s: i for i, s in enumerate(accumulate(w), 1)}  # partial sum -> mark
     out = []
-    for mask in range(1 << (n - 1)):
-        marks = [0]
-        for gap in range(1, n):
-            if not (mask >> (n - 1 - gap)) & 1:
-                marks.append(gap)
-        marks.append(n)
-        blocks = tuple(
-            sum(w[marks[i] : marks[i + 1]]) for i in range(len(marks) - 1)
-        )
-        out.append((Contraction(tuple(marks), n - len(blocks)), _word(blocks)))
-    return out
+    # as a Word: an Index would key the memo table, and the sum, by an Index
+    for u, mono in _s_t_word(_word(w)).terms.items():
+        (sigma,) = mono.coeffs
+        out.append((Contraction((0, *(mark[s] for s in accumulate(u))), sigma), u))
+    # ascending marks is ascending bitmask: the first gap where two
+    # patterns differ is a mark of the one with the smaller mask
+    return sorted(out, key=lambda entry: entry[0].marks)
 
 
 @cache

@@ -194,7 +194,7 @@ def mzsv(idx, M):
         raise ValueError(f"divergent series: index {idx} is not admissible")
     if M < 1:
         raise ValueError("truncation M must be positive")
-    coeffs = {w: p.evaluate(1) for w, p in _s_t_word(idx.to_word()).items()}
+    coeffs = dict.fromkeys(_s_t_word(idx.to_word()).words(), 1)
     return _result(coeffs, int(M), f"zeta*({idx})")
 
 

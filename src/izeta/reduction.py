@@ -91,6 +91,16 @@ class RelationCertificate:
         return f"{self.label}: target = {body}"
 
 
+def _subtract(acc, factor, row):
+    """acc -= factor * row on sparse dicts, dropping what cancels."""
+    for key, c in row.items():
+        nc = acc.get(key, 0) - factor * c
+        if nc:
+            acc[key] = nc
+        else:
+            acc.pop(key, None)
+
+
 class SpanSolver:
     """Row echelon form of a fixed generator list, reused across targets.
 
@@ -121,18 +131,8 @@ class SpanSolver:
                 return vec, combo
             rvec, rcombo = row
             factor = vec[piv]
-            for w, c in rvec.items():
-                nc = vec.get(w, 0) - factor * c
-                if nc:
-                    vec[w] = nc
-                else:
-                    vec.pop(w, None)
-            for j, c in rcombo.items():
-                nc = combo.get(j, 0) - factor * c
-                if nc:
-                    combo[j] = nc
-                else:
-                    combo.pop(j, None)
+            _subtract(vec, factor, rvec)
+            _subtract(combo, factor, rcombo)
         return vec, combo
 
     def coefficients_for(self, target):

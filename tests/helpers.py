@@ -24,6 +24,36 @@ def compositions(total):
     return out
 
 
+def split_bitmask_words(k):
+    """The compositions of k as tuples, ascending in the bitmask whose bit
+    i (least significant first) splits 1^k after its (i+1)-th letter."""
+    out = []
+    for mask in range(1 << (k - 1)):
+        parts, cur = [], 1
+        for i in range(k - 1):
+            if mask >> i & 1:
+                parts.append(cur)
+                cur = 1
+            else:
+                cur += 1
+        parts.append(cur)
+        out.append(tuple(parts))
+    return out
+
+
+def merge_bitmask_contractions(letters):
+    """(marks, merges, contracted letters) of every contraction of a
+    nonempty letter tuple, ascending in the bitmask of merged gaps whose
+    most significant bit is the gap after the first letter."""
+    n = len(letters)
+    out = []
+    for mask in range(1 << (n - 1)):
+        marks = [0] + [g for g in range(1, n) if not mask >> (n - 1 - g) & 1] + [n]
+        blocks = tuple(sum(letters[a:b]) for a, b in zip(marks, marks[1:]))
+        out.append((tuple(marks), n - len(blocks), blocks))
+    return out
+
+
 def words_up_to_weight(max_weight, max_length=None):
     """All nonempty words with weight <= max_weight (optionally capped length)."""
     out = []

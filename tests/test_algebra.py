@@ -77,6 +77,13 @@ def test_ratpoly_rejects_floats():
         RatPoly({0: 1}).evaluate(0.5)
 
 
+@pytest.mark.parametrize("e", [1.5, 1.0, True, "1", Fraction(1), -1])
+def test_ratpoly_exponents_must_be_nonnegative_ints(e):
+    message = "negative exponent" if e == -1 else "exponent must be an integer"
+    with pytest.raises(ValueError, match=message):
+        RatPoly({e: 1})
+
+
 def test_ratpoly_str_and_parse():
     assert str(RatPoly({0: 1, 1: -2, 2: 1})) == "1 - 2*t + t^2"
     assert str(RatPoly()) == "0"

@@ -7,7 +7,6 @@ import signal
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest

@@ -22,7 +22,7 @@ from izeta.identities import (
 )
 from izeta.interpolate import d_dt, s_alpha, s_t
 
-from helpers import compositions, words_up_to_weight
+from helpers import compositions, split_bitmask_words, words_up_to_weight
 
 
 def w(*letters):
@@ -32,11 +32,13 @@ def w(*letters):
 # ------------------------------------------------------------ sum formula
 
 def test_words_of_weight_enumerates_all_compositions():
-    for k in range(1, 8):
+    for k in range(1, 11):
         words = words_of_weight(k)
         assert len(words) == 2 ** (k - 1)
         assert len(set(words)) == len(words)
         assert all(word.weight == k for word in words)
+        assert words == split_bitmask_words(k), k
+        assert all(type(word) is Word for word in words)
 
 
 def test_sum_words_examples():
@@ -49,11 +51,14 @@ def test_sum_words_examples():
 
 
 def test_sum_words_term_count():
-    for k in range(2, 10):
+    for k in range(2, 13):
+        admissible = [c for c in compositions(k) if c[0] >= 2]
         for n in range(1, k):
             family = sum_words(k, n)
             assert len(list(family.words())) == comb(k - 2, n - 1)
             assert all(word.letters[0] >= 2 and word.weight == k for word in family.words())
+            colex = sorted((c for c in admissible if len(c) == n), key=lambda c: c[::-1])
+            assert list(family.words()) == colex, (k, n)
 
 
 def test_sum_poly_examples():
@@ -178,6 +183,12 @@ def test_alternating_sum_vanishes_for_all_small_sequences():
             assert alt_sum(letters).is_zero(), letters
 
 
+@pytest.mark.parametrize("letters", [(1.5, 2.7), (2.0,), ("1",), (1, True)])
+def test_alternating_sum_letters_must_be_ints(letters):
+    with pytest.raises(ValueError, match="positive integer"):
+        alt_sum(letters)
+
+
 def test_alternating_sum_direct_half_parameter_form():
     half = Fraction(1, 2)
     for letters in [(1,), (3, 1), (1, 3), (1, 1, 3), (3, 1, 1)]:
@@ -199,6 +210,13 @@ def test_two_one_index_construction():
     assert two_one_lhs_index((2, 0)) == Index((2, 2, 1, 1))
     with pytest.raises(ValueError, match="non-admissible star index"):
         two_one_lhs_index((0, 1))
+
+
+@pytest.mark.parametrize("j", [(1.9, 0.5), (2.5,), (1, 1.0), ("1",), (True,)])
+def test_two_one_block_sizes_must_be_ints(j):
+    for build in (two_one_lhs_index, two_one_rhs_word):
+        with pytest.raises(ValueError, match="block sizes must be integers"):
+            build(j)
 
 
 def test_two_one_word_translation():

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used in that module, the
+"""Every name a package or test module imports is used in that module, the
 unchecked constructors of `algebra` stay out of the command line, and the
 command line imports no private name of the package."""
 
@@ -8,6 +8,7 @@ from pathlib import Path
 import izeta
 
 PACKAGE = Path(izeta.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def unused_imports(source):
@@ -39,9 +40,12 @@ def test_the_checker_sees_an_unused_import():
 def test_no_module_imports_a_name_it_does_not_use():
     # __init__.py imports names only to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert modules
+    tests = sorted(TESTS.glob("*.py"))
+    assert modules and tests
     found = {
-        p.name: unused for p in modules if (unused := unused_imports(p.read_text()))
+        f"{p.parent.name}/{p.name}": unused
+        for p in modules + tests
+        if (unused := unused_imports(p.read_text()))
     }
     assert found == {}
 

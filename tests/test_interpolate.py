@@ -33,6 +33,7 @@ from helpers import (
     assert_normal_form,
     dictpoly_to_sum,
     interpolation_by_recursion,
+    merge_bitmask_contractions,
     star_fillings,
     words_up_to_weight,
 )
@@ -67,6 +68,12 @@ def test_contractions_of_length_three_word_in_stated_order():
 def test_contractions_of_single_letter():
     got = [(c.sigma, word) for c, word in enumerate_contractions(Word((5,)))]
     assert got == [(0, Word((5,)))]
+
+
+def test_contractions_match_the_merged_gap_bitmask_order():
+    for word in words_up_to_weight(7):
+        got = [(c.marks, c.sigma, image) for c, image in enumerate_contractions(word)]
+        assert got == merge_bitmask_contractions(word.letters), word
 
 
 def test_contractions_of_unit_rejected():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from izeta.algebra import FormalSum, Index, RatPoly, Word
+from izeta.algebra import FormalSum, Index, Word
 from izeta.identities import sum_poly, sum_words
 from izeta.interpolate import s_t
 from izeta.numeric import (

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from izeta.algebra import FormalSum, RatPoly, T, Word
+from izeta.algebra import FormalSum, T, Word
 from izeta.identities import sum_poly, sum_words
 from izeta.interpolate import s_t, taylor_shift
 from izeta.reduction import (
