@@ -84,7 +84,7 @@ class RatPoly:
         return self.coeffs.get(0, 0)
 
     def is_constant(self):
-        return self.degree <= 0
+        return self.coeffs.keys() <= {0}
 
     def __add__(self, other):
         if not isinstance(other, RatPoly):

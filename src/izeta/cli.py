@@ -28,6 +28,7 @@ from .reduction import (
     certificate_records,
     cyclic_relations,
     sum_formula_relations,
+    verify_certificates,
     verify_csf_reduction,
     verify_sf_reduction,
 )
@@ -137,7 +138,7 @@ def _cmd_verify_reduction(args):
         for label, (lhs, rhs), _ in (relations if args.numeric else ())
     ]
     certs = args.certify(args.k)
-    oks = [c.success and c.verify() for c in certs]
+    oks = verify_certificates(certs)
     ok = all(oks)
     if args.json:
         doc = {"suite": args.suite, "checks": certificate_records(certs), "ok": ok}

@@ -9,7 +9,7 @@ reduction certificates and the numeric checks both start from them."""
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from math import comb
 
 from .algebra import (
@@ -40,16 +40,22 @@ def words_of_weight(k):
 def sum_words(k, n):
     """Sum of all admissible words of weight k and depth n (coefficient 1
     each); there are C(k-2, n-1) of them.  Enumerated in colexicographic
-    order of the exponent tuples.
-
-    They are the contractions of z_2 z_1^(k-2) with k-1-n merges, the
-    t^(k-1-n) part of the operator's expansion of that word, which lists
-    its words in colexicographic order."""
+    order of the exponent tuples."""
     if n < 1 or k <= n:
         raise ValueError(f"empty family: weight {k}, depth {n}")
-    expansion = _s_t_word(_word((2,) + (1,) * (k - 2))).terms
-    merges = k - 1 - n
-    return FormalSum((u, 1) for u, mono in expansion.items() if mono.degree == merges)
+    return FormalSum(dict.fromkeys(_sum_families(k)[n], RatPoly(1)))
+
+
+@lru_cache(maxsize=1)
+def _sum_families(k):
+    """The words of `sum_words(k, n)` for every depth n, from one pass over
+    the operator's expansion of z_2 z_1^(k-2): the family of depth n is
+    its contractions with k-1-n merges, and the expansion lists its words
+    in colexicographic order.  Only the latest weight is kept."""
+    families = {}
+    for u in _s_t_word(_word((2,) + (1,) * (k - 2))).terms:
+        families.setdefault(len(u), []).append(u)
+    return families
 
 
 def sum_poly(k, n):

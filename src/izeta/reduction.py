@@ -1,15 +1,26 @@
 """Exact linear algebra over the word basis: span-membership certificates
 for the reductions that the interpolation identities predict.
 
-Everything is done over Fractions with Gaussian elimination; a failed
-membership is a value (certificate with no coefficients), not an error,
-so callers can report exactly which component fell outside the span.
+Vectors are integers over one denominator: a formal sum becomes
+(den, {key: int}), its coefficients times den, the lcm of their
+denominators.  `SpanSolver` eliminates fraction-free (Bareiss, Math.
+Comp. 22 (1968)) on such t-free vectors keyed by Word: rows stay
+integer, and where a pivot does not divide the entry it clears, the
+vector being reduced is first scaled by the least integer that makes it
+divide.  Each coefficient becomes a Fraction once, at the end.
+`RelationCertificate` re-checks itself in integers keyed by (word,
+power of t), from its own target, generators and coefficients.  A
+failed membership is a value (certificate with no coefficients), not an
+error, so callers can report exactly which component fell outside the
+span.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import sub
 
 from .algebra import FormalSum, _as_exact, as_sum
@@ -17,17 +28,32 @@ from .identities import cyclic_sides, sum_formula_sides, words_of_weight
 from .interpolate import taylor_shift
 
 
-def _vectorize(e):
-    """t-free formal sum -> {Word: Fraction}."""
-    e = as_sum(e)
-    vec = {}
-    for w, p in e.terms.items():
-        if not p.is_constant():
-            raise ValueError(f"reduction inputs must be t-free, got {p}")
-        c = Fraction(p.constant())
-        if c:
-            vec[w] = c
-    return vec
+def _over_one_denominator(values):
+    """(den, {key: int}) for the dict `values` of nonzero ints and
+    Fractions: each value times den, the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in values.values()))
+    return den, {key: x.numerator * (den // x.denominator) for key, x in values.items()}
+
+
+def _integer_form(e):
+    """A formal sum over one denominator, keyed by (word, power of t)."""
+    return _over_one_denominator(
+        {(w, j): x for w, p in as_sum(e).terms.items() for j, x in p.coeffs.items()}
+    )
+
+
+def _t_free_vector(e):
+    """A t-free formal sum over one denominator, keyed by Word."""
+    if not as_sum(e).is_t_free():
+        raise ValueError("reduction inputs must be t-free")
+    return _over_one_denominator({w: p.coeffs[0] for w, p in as_sum(e).terms.items()})
+
+
+_ZERO = Fraction(0)
+
+# {id(generator): integer form} while `verify_certificates` runs, so that
+# certificates sharing generators convert each of them once
+_shared_forms = ContextVar("_shared_forms")
 
 
 @dataclass
@@ -48,21 +74,24 @@ class RelationCertificate:
         return self.coefficients is not None
 
     def verify(self):
-        """Exact re-substitution: target - sum(c_i * g_i) == 0, summed
-        coefficient by coefficient of each (word, power of t)."""
+        """Exact re-substitution in integers: target - sum c_i g_i == 0
+        times L, the lcm of the denominators of the target and of each
+        c_i g_i, coefficient by coefficient of each (word, power of t).
+        Inexact coefficients raise TypeError."""
         if self.coefficients is None:
             return False
-        acc = {}  # (word, power of t) -> coefficient
-        for w, p in self.target.terms.items():
-            for e, x in p.coeffs.items():
-                acc[w, e] = x
+        forms = _shared_forms.get({})
+        used = [(-1, *_integer_form(self.target))]  # the target, with coefficient -1
         for c, g in zip(self.coefficients, self.generators):
-            if c:
-                c = _as_exact(c)
-                for w, p in as_sum(g).terms.items():
-                    for e, x in p.coeffs.items():
-                        acc[w, e] = acc.get((w, e), 0) - c * x
-        return not any(acc.values())
+            if c is not _ZERO and c:  # `is` skips the solver's zeros without a call
+                if id(g) not in forms:
+                    forms[id(g)] = _integer_form(g)
+                used.append((_as_exact(c), *forms[id(g)]))
+        common = lcm(*(c.denominator * d for c, d, _ in used))
+        acc = {}
+        for c, d, vec in used:
+            _subtract(acc, c.numerator * (common // (c.denominator * d)), vec)
+        return not acc
 
     def to_record(self):
         """Machine-readable dict; rationals rendered as p/q strings, with
@@ -105,44 +134,53 @@ class SpanSolver:
     """Row echelon form of a fixed generator list, reused across targets.
 
     Pivot choice is deterministic: each row pivots on its smallest word in
-    canonical (lexicographic) order.
+    canonical (lexicographic) order.  Rows stay integer and unnormalised:
+    a row is an integer vector `vec`, kept with the integer `combo` for
+    which vec = sum of combo[i] * generator i, and its pivot entry need
+    not be 1.
     """
 
     def __init__(self, generators):
         self.generators = list(generators)
-        self._pivots = {}  # Word -> (vector, combo over generator indices)
+        self._pivots = {}  # Word -> (vec, combo)
         for i, g in enumerate(self.generators):
-            vec = _vectorize(g)
-            vec, combo = self._reduce(vec, {i: Fraction(1)})
+            den, vec = _t_free_vector(g)
+            vec, combo = self._reduce(vec, {i: den})
             if vec:
-                piv = min(vec)
-                inv = 1 / vec[piv]
-                vec = {w: c * inv for w, c in vec.items()}
-                combo = {j: c * inv for j, c in combo.items()}
-                self._pivots[piv] = (vec, combo)
+                self._pivots[min(vec)] = (vec, combo)
 
     def _reduce(self, vec, combo):
         """Eliminate vec against the stored pivot rows (smallest word
-        first); returns the residual and the updated combination."""
+        first), in integers; returns the residual and the updated
+        combination.  Where the pivot p does not divide the entry a,
+        vec and combo are first scaled by |p| / gcd(a, p)."""
         while vec:
             piv = min(vec)
             row = self._pivots.get(piv)
             if row is None:
                 return vec, combo
             rvec, rcombo = row
-            factor = vec[piv]
-            _subtract(vec, factor, rvec)
-            _subtract(combo, factor, rcombo)
+            a, p = vec[piv], rvec[piv]
+            if a % p:
+                s = abs(p) // gcd(a, p)
+                for part in (vec, combo):
+                    part.update({key: s * x for key, x in part.items()})
+                a *= s
+            _subtract(vec, a // p, rvec)
+            _subtract(combo, a // p, rcombo)
         return vec, combo
 
     def coefficients_for(self, target):
         """Coefficients over the generators, or None if outside the span."""
-        vec, combo = self._reduce(_vectorize(target), {})
+        den, vec = _t_free_vector(target)
+        # the key None stands for the target: vec = den * target to start
+        vec, combo = self._reduce(vec, {None: den})
         if vec:
             return None
-        coeffs = [Fraction(0)] * len(self.generators)
+        scale = combo.pop(None)
+        coeffs = [_ZERO] * len(self.generators)
         for i, c in combo.items():
-            coeffs[i] = -c
+            coeffs[i] = Fraction(-c, scale)
         return coeffs
 
 
@@ -159,6 +197,19 @@ def certificate_records(certs):
             rendered[id(cert.generators)] = generators
         records.append(cert._record(generators))
     return records
+
+
+def verify_certificates(certs):
+    """`c.success and c.verify()` for each certificate, converting each
+    generator to integers once however many certificates share it (as all
+    certificates from one `verify_*_reduction` call share their generator
+    list); the integer forms are dropped when the call returns."""
+    token = _shared_forms.set({})
+    try:
+        # iterating a list keeps every generator alive, so no id is reused
+        return [cert.success and cert.verify() for cert in list(certs)]
+    finally:
+        _shared_forms.reset(token)
 
 
 def span_membership(target, generators, label=""):

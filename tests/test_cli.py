@@ -215,6 +215,10 @@ PINNED_STDOUT = {
         "144be3cf8cb8d0ec14f302e5d1d8615c8bed805799a8877752260cd95419c9c8",
     ("verify", "sum-formula", "--k", "6", "--numeric", "--json"):
         "9db1cadc075b2cfd8c299dd5360a78b03b3b2b96af73b9b6db63226aa3fa4b2e",
+    ("verify", "cyclic", "--k", "8"):
+        "cf7e62c1e22411dc9f12fe92871487191d5fae58b7df2c5fbd7bed830a89f76a",
+    ("verify", "sum-formula", "--k", "11", "--json"):
+        "fa23404aebcc9ae3b7f5b1b03ff0d872a03b1c6656d7462c4562881d86334baf",
 }
 
 

@@ -1,16 +1,20 @@
 """Exact rational span certificates for the reduction arguments."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from izeta import reduction
 from izeta.algebra import FormalSum, T, Word
 from izeta.identities import sum_poly, sum_words
 from izeta.interpolate import s_t, taylor_shift
 from izeta.reduction import (
     RelationCertificate,
+    SpanSolver,
     span_membership,
+    verify_certificates,
     verify_csf_reduction,
     verify_sf_reduction,
 )
@@ -167,3 +171,87 @@ def test_verify_rejects_a_coefficient_moved_by_one_thousandth():
             assert not bad.verify()
             moved += 1
     assert moved > 100
+
+
+@pytest.mark.parametrize("k", range(9, 14))
+def test_sum_formula_certificates_follow_the_closed_form(k):
+    # [t^j] S^t(sum_words(k, n)) = C(k-n+j-1, j) sum_words(k, n-j): a word of
+    # depth m gets x^m (1 + t x)^(k-m-1) in sum_n x^n S^t(sum_words(k, n)).
+    # So the t^j part of the depth-n relation is that multiple of generator
+    # n-j; generator 1 is z_k - z_k = 0 and the others are independent.
+    certs = verify_sf_reduction(k)
+    assert len(certs) == k * (k - 1) // 2
+    for cert in certs:
+        n, j = (int(part.split("=")[1]) for part in cert.label.split()[2:])
+        expected = [0] * (k - 1)
+        if n - j >= 2:
+            expected[n - j - 1] = comb(k - n + j - 1, j)
+        assert cert.coefficients == expected, cert.label
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-2, 3)])
+def test_reductions_certify_at_non_integer_alpha(alpha):
+    certs = verify_csf_reduction(6, alpha) + verify_sf_reduction(9, alpha)
+    assert all(c.success and c.verify() for c in certs)
+
+
+coefficient_st = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+nonzero_coefficient_st = coefficient_st.filter(bool)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_triangular_generators_give_back_the_drawn_coefficients(data):
+    # Distinct leading (smallest) words make the generators independent, so
+    # the drawn coefficients are the only answer; the leading coefficients
+    # need not be units, so pivots need not divide the entries they clear.
+    pool = words_up_to_weight(4)
+    leads = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=5, unique=True))
+    generators = []
+    for lead in sorted(leads):
+        g = data.draw(nonzero_coefficient_st) * FormalSum.from_word(lead)
+        later = [u for u in pool if u > lead]
+        tail = data.draw(st.lists(st.sampled_from(later), max_size=3, unique=True)) if later else []
+        for word in tail:
+            g = g + data.draw(nonzero_coefficient_st) * FormalSum.from_word(word)
+        generators.append(g)
+    coeffs = data.draw(st.lists(coefficient_st, min_size=len(generators), max_size=len(generators)))
+    target = FormalSum.zero()
+    for c, g in zip(coeffs, generators):
+        target = target + c * g
+    found = SpanSolver(generators).coefficients_for(target)
+    assert found == coeffs and all(type(c) is Fraction for c in found)
+    assert RelationCertificate(target, generators, found).verify()
+    i = data.draw(st.integers(0, len(coeffs) - 1))
+    bumped = list(found)
+    bumped[i] += 1
+    assert not RelationCertificate(target, generators, bumped).verify()
+    inexact = list(found)
+    inexact[i] = 0.5
+    with pytest.raises(TypeError):
+        RelationCertificate(target, generators, inexact).verify()
+
+
+def test_verify_certificates_matches_verify_one_by_one():
+    certs = verify_csf_reduction(4)
+    good = next(c for c in certs if any(c.coefficients))
+    i = next(i for i, c in enumerate(good.coefficients) if c)
+    coeffs = list(good.coefficients)
+    coeffs[i] += 1
+    certs.append(RelationCertificate(good.target, good.generators, coeffs, "bumped"))
+    certs.append(RelationCertificate(good.target, good.generators, None, "failed"))
+    expected = [c.success and c.verify() for c in certs]
+    assert expected[:-2] == [True] * (len(certs) - 2) and expected[-2:] == [False, False]
+    assert verify_certificates(certs) == expected
+
+
+def test_verify_certificates_converts_each_shared_generator_once(monkeypatch):
+    certs = verify_csf_reduction(5)
+    converted = []
+    integer_form = reduction._integer_form
+    monkeypatch.setattr(
+        reduction, "_integer_form", lambda e: converted.append(e) or integer_form(e)
+    )
+    assert all(verify_certificates(certs))
+    used = {i for c in certs for i, x in enumerate(c.coefficients) if x}
+    assert len(converted) == len(certs) + len(used)  # each target, each used generator
