@@ -34,7 +34,7 @@ def words_of_weight(k):
     backwards."""
     if k < 1:
         raise ValueError("weight must be positive")
-    return list(reversed(_s_t_word(_word((1,) * k)).words()))
+    return list(reversed(_s_t_word(_word((1,) * k))))
 
 
 def sum_words(k, n):
@@ -53,7 +53,7 @@ def _sum_families(k):
     its contractions with k-1-n merges, and the expansion lists its words
     in colexicographic order.  Only the latest weight is kept."""
     families = {}
-    for u in _s_t_word(_word((2,) + (1,) * (k - 2))).terms:
+    for u in _s_t_word(_word((2,) + (1,) * (k - 2))):
         families.setdefault(len(u), []).append(u)
     return families
 

@@ -10,12 +10,14 @@ One word's image comes from the first-letter recursion
 S(a u) = a S(u) + t (a o S(u)), where a o merges the letter a into the
 head of each word, memoised on the tail u (Hoffman, *Quasi-shuffle
 products*, J. Algebraic Combin. 11 (2000)).  Its 2^(n-1) words are
-distinct, each with one monomial t^sigma, so `s_t`, `s_poly` and
-`s_alpha` only shift degrees or multiply by alpha^sigma; `s_alpha` does
-so in integers over one common denominator.  Results are built with the
-trusted constructors of `algebra` from the validated input.
-`enumerate_contractions` reads the same expansion as explicit patterns,
-and so do `identities.words_of_weight` and `identities.sum_words`.
+distinct, and the memo keeps just those words: a contraction u of w
+carries t^sigma with sigma = len(w) - len(u), its number of merges.  So
+`s_t`, `s_poly` and `s_alpha` only shift degrees or multiply by
+alpha^sigma; `s_alpha` does so in integers over one common denominator.
+Results are built with the trusted constructors of `algebra` from the
+validated input.  `enumerate_contractions` reads the same expansion as
+explicit patterns, and so do `identities.words_of_weight`,
+`identities.sum_words` and `numeric.mzsv`.
 """
 
 from __future__ import annotations
@@ -74,29 +76,28 @@ def enumerate_contractions(w):
         raise ValueError("unit has no contractions")
     mark = {s: i for i, s in enumerate(accumulate(w), 1)}  # partial sum -> mark
     out = []
-    # as a Word: an Index would key the memo table, and the sum, by an Index
-    for u, mono in _s_t_word(_word(w)).terms.items():
-        (sigma,) = mono.coeffs
-        out.append((Contraction((0, *(mark[s] for s in accumulate(u))), sigma), u))
+    # as a Word: an Index would key the memo table by an Index
+    for u in _s_t_word(_word(w)):
+        marks = (0, *(mark[s] for s in accumulate(u)))
+        out.append((Contraction(marks, len(w) - len(u)), u))
     # ascending marks is ascending bitmask: the first gap where two
     # patterns differ is a mark of the one with the smaller mask
     return sorted(out, key=lambda entry: entry[0].marks)
 
 
 @cache
-def _s_t_word(w: Word) -> FormalSum:
-    """The operator on one word by the first-letter recursion.  Distinct
-    contraction patterns give distinct words (a word's partial sums
-    determine it), so every coefficient is one monomial t^sigma."""
-    if w.depth <= 1:
-        return FormalSum.from_word(w)
+def _s_t_word(w: Word) -> tuple[Word, ...]:
+    """The words of the operator's image of one word, by the first-letter
+    recursion.  Distinct contraction patterns give distinct words (a
+    word's partial sums determine it), so the image is these words, each
+    u with coefficient t^(len(w) - len(u))."""
+    if len(w) <= 1:
+        return (w,)
     a = w[0]
-    acc = {}
-    for u, mono in _s_t_word(_word(w[1:])).terms.items():
-        acc[_word((a,) + u)] = mono
-        (sigma,) = mono.coeffs
-        acc[_word((a + u[0],) + u[1:])] = _poly({sigma + 1: 1})
-    return _normal_sum(acc)
+    out = []
+    for u in _s_t_word(_word(w[1:])):
+        out += (_word((a,) + u), _word((a + u[0],) + u[1:]))
+    return tuple(out)
 
 
 def s_poly(e, param):
@@ -112,23 +113,21 @@ def s_poly(e, param):
 
     out = {}
     for w, c in as_sum(e).terms.items():
-        for u, mono in _s_t_word(w).terms.items():
-            # coefficients of the word-level expansion are monomials
-            # t^sigma; replace t^sigma by param^sigma
-            (sigma,) = mono.coeffs
-            p = c * ppow(sigma)
+        for u in _s_t_word(w):
+            # u carries t^sigma, sigma its merges; replace it by param^sigma
+            p = c * ppow(len(w) - len(u))
             q = out.get(u)
             out[u] = p if q is None else q + p
     return FormalSum(out)
 
 
 def s_t(e):
-    """The interpolation operator itself (parameter t): each word's
-    monomial t^sigma shifts the degrees of its coefficient by sigma."""
+    """The interpolation operator itself (parameter t): each contraction
+    with sigma merges shifts the degrees of its coefficient by sigma."""
     out = {}
     for w, c in as_sum(e).terms.items():
-        for u, mono in _s_t_word(w).terms.items():
-            (sigma,) = mono.coeffs
+        for u in _s_t_word(w):
+            sigma = len(w) - len(u)
             acc = out.get(u)
             if acc is None:
                 out[u] = {deg + sigma: x for deg, x in c.coeffs.items()}
@@ -161,9 +160,8 @@ def s_alpha(e, alpha):
     for w, v in zip(e.terms, values):
         if not v[0]:  # c(alpha) = 0
             continue
-        for u, mono in _s_t_word(w).terms.items():
-            (sigma,) = mono.coeffs
-            out[u] = out.get(u, 0) + v[sigma]
+        for u in _s_t_word(w):
+            out[u] = out.get(u, 0) + v[len(w) - len(u)]
     return _normal_sum({u: _poly({0: Fraction(x, den)}) for u, x in out.items() if x})
 
 
@@ -215,12 +213,11 @@ def index_expansions(idx):
     This is the expansion underlying the interpolated zeta values: each
     gap of the index is either kept (comma) or summed through (plus).
     """
-    for u, mono in _s_t_word(idx.to_word()).terms.items():
-        (sigma,) = mono.coeffs
-        yield Index(u), sigma
+    for u in _s_t_word(idx.to_word()):
+        yield Index(u), len(idx) - len(u)
 
 
 def zeta_t_words(idx):
     """The interpolated zeta value of `idx` written out as a formal sum:
     every merge pattern of the index, weighted by t^merges."""
-    return _s_t_word(idx.to_word())
+    return s_t(FormalSum.from_word(idx.to_word()))

@@ -194,7 +194,7 @@ def mzsv(idx, M):
         raise ValueError(f"divergent series: index {idx} is not admissible")
     if M < 1:
         raise ValueError("truncation M must be positive")
-    coeffs = dict.fromkeys(_s_t_word(idx.to_word()).words(), 1)
+    coeffs = dict.fromkeys(_s_t_word(idx.to_word()), 1)
     return _result(coeffs, int(M), f"zeta*({idx})")
 
 

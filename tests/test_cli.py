@@ -204,8 +204,9 @@ def test_missing_required_option_exits_two(capsys):
     capsys.readouterr()
 
 
-# Digests of stdout recorded before the certificate path was rewritten;
-# the same under every PYTHONHASHSEED.
+# Digests of stdout, each recorded before the code behind it was rewritten
+# (the certificate path, the operator's expansion); the same under every
+# PYTHONHASHSEED.
 PINNED_STDOUT = {
     ("verify", "cyclic", "--k", "6", "--json"):
         "1af9f13be2374855146af443b71c7050d8f1af50b05120ef032dae2508a49100",
@@ -219,6 +220,12 @@ PINNED_STDOUT = {
         "cf7e62c1e22411dc9f12fe92871487191d5fae58b7df2c5fbd7bed830a89f76a",
     ("verify", "sum-formula", "--k", "11", "--json"):
         "fa23404aebcc9ae3b7f5b1b03ff0d872a03b1c6656d7462c4562881d86334baf",
+    ("expand", "--index", "3,1,2,1,1", "--json"):
+        "24bdbfe2d0e1e8ef0a89be8375631c33006341fa3cdea480f36633bf18612189",
+    ("st", "--word", "2,1,3,1"):
+        "1244da3b874ddcfeec0d19479890b459ea92e702b3bd8bc7119e9592b72defcf",
+    ("eval", "--index", "2,1,1", "--t", "1/2", "--json"):
+        "6585d54c88242f4c14f4e57732ffdc7b232d6b90d3b6cebfae6fbdebc395ed43",
 }
 
 

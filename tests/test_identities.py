@@ -61,6 +61,19 @@ def test_sum_words_term_count():
             assert list(family.words()) == colex, (k, n)
 
 
+def test_operator_on_sum_families_matches_binomial_closed_form():
+    # each letter splits on its own and the first part of the first letter
+    # is at least 2, so a word of depth m and weight k gets x^m (1 + t x)^(k-m-1)
+    # in sum_n x^n S^t(sum_words(k, n)): the right side uses no S^t
+    for k in range(2, 13):
+        for n in range(1, k):
+            expected = FormalSum()
+            for j in range(n):
+                coeff = RatPoly({j: comb(k - n + j - 1, j)})
+                expected = expected + coeff * sum_words(k, n - j)
+            assert s_t(sum_words(k, n)) == expected
+
+
 def test_sum_poly_examples():
     assert sum_poly(3, 2) == RatPoly({0: 1, 1: 1})
     assert sum_poly(5, 3) == RatPoly({0: 1, 1: 2, 2: 3})

@@ -28,6 +28,7 @@ from izeta.interpolate import (
     taylor_shift,
     zeta_t_words,
 )
+from izeta.numeric import mzsv
 
 from helpers import (
     assert_normal_form,
@@ -201,6 +202,18 @@ def test_zeta_t_words_equals_operator_image():
         assert zeta_t_words(Index(parts)) == s_t(FormalSum.from_word(Index(parts).to_word()))
 
 
+def test_zeta_t_words_returns_a_sum_of_its_own():
+    # emptying one caller's result must not empty anyone else's
+    try:
+        zeta_t_words(Index((2, 1))).terms.clear()
+        assert zeta_t_words(Index((2, 1))) == w(2, 1) + T * w(3)
+        assert s_t(w(2, 1)) == w(2, 1) + T * w(3)
+        res = mzsv((2, 1), 1000)  # zeta*(2,1) = 2 zeta(3)
+        assert abs(res.value - 2 * 1.2020569031595942) <= res.err
+    finally:
+        _s_t_word.cache_clear()
+
+
 # ------------------------------------------------- operator vs products
 
 @given(word_st, word_st)
@@ -276,9 +289,11 @@ def test_operator_on_every_word_up_to_weight_9_matches_brute_force():
     assert len(words) == 511
     for word in words:
         expected = brute_contractions(word.letters)
-        assert as_dicts(_s_t_word(word)) == expected
+        image = _s_t_word(word)
+        assert len(set(image)) == len(image) == 2 ** (len(word) - 1)
+        assert {u.letters: {len(word) - len(u): 1} for u in image} == expected
         assert as_dicts(s_t(FormalSum.from_word(word))) == expected
-        assert zeta_t_words(Index(word.letters)) == _s_t_word(word)
+        assert as_dicts(zeta_t_words(Index(word.letters))) == expected
 
 
 ALPHAS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 5)]
