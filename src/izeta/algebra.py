@@ -586,12 +586,8 @@ def parse_ratpoly(text):
         tokens = tokens[1:]  # leading sign
     else:
         tokens = ["+"] + tokens
-    if len(tokens) % 2 != 0:
-        raise ValueError(f"malformed polynomial {text!r}")
     coeffs = {}
     for sign_tok, term in zip(tokens[0::2], tokens[1::2]):
-        if sign_tok not in ("+", "-"):
-            raise ValueError(f"malformed polynomial {text!r}")
         m = _POLY_TERM_RE.match(term)
         if not m or (m["c"] is None and m["t"] is None):
             raise ValueError(f"malformed polynomial term {term!r}")

@@ -22,8 +22,8 @@ from .algebra import (
     t_harmonic_product,
 )
 from .identities import alt_sum, two_one_lhs_index, two_one_rhs_word
-from .interpolate import s_t, zeta_t_words
-from .numeric import BOUND, METHOD, eval_element, kernel_name, mzsv, verify_identity
+from .interpolate import s_alpha, s_t, zeta_t_words
+from .numeric import BOUND, METHOD, eval_element, kernel_name, verify_identity
 from .reduction import (
     certificate_records,
     cyclic_relations,
@@ -128,7 +128,7 @@ def _cmd_verify_reduction(args):
     """Certify a suite and, under --numeric, evaluate both sides of each
     identity at t; exit 1 if a certificate or a numeric check fails."""
     # reject a bad --t or --k before any work, in that order
-    t = _fraction(args.t) if args.numeric else None
+    t = _fraction(args.t)
     relations = args.relations(args.k)
     # The sides are built one identity at a time and evaluated before any
     # certificate, so the evaluator rejects a bad --M at the first side
@@ -173,35 +173,34 @@ def _cmd_verify_alt_sum(args):
 
 
 def _cmd_verify_two_one(args):
+    """zeta*(idx) against scale * zeta^(1/2)(word), both sides t-free,
+    compared by the same check as every other identity."""
     js = _block_sizes(args.j)
     idx = two_one_lhs_index(js)
     word, scale = two_one_rhs_word(js)
-    lhs = mzsv(idx, args.M)
-    rhs = eval_element(s_t(FormalSum.from_word(word)), Fraction(1, 2), args.M)
-    rhs_value = float(scale) * rhs.value
-    rhs_err = float(scale) * rhs.err
-    residual = abs(lhs.value - rhs_value)
-    tol = lhs.err + rhs_err
-    ok = residual <= tol
+    half = Fraction(1, 2)
+    lhs = s_alpha(idx.to_word(), 1)
+    rhs = scale * s_alpha(word, half)
+    (check,) = verify_identity(lhs, rhs, [half], args.M).checks
     human = (
-        f"{'ok  ' if ok else 'FAIL'} zeta*({idx}) = {lhs.value!r} vs "
-        f"{scale}*zeta^(1/2)({word}) = {rhs_value!r} "
-        f"|diff|={residual:.3e} tol={tol:.3e}"
+        f"{'ok  ' if check.ok else 'FAIL'} zeta*({idx}) = {check.lhs.value!r} vs "
+        f"{scale}*zeta^(1/2)({word}) = {check.rhs.value!r} "
+        f"|diff|={check.residual:.3e} tol={check.tol:.3e}"
     )
     record = {
         "j": str(args.j),
         "star_index": str(idx),
         "half_word": str(word),
         "scale": str(scale),
-        "lhs": lhs.value,
-        "rhs": rhs_value,
-        "residual": residual,
-        "tol": tol,
+        "lhs": check.lhs.value,
+        "rhs": check.rhs.value,
+        "residual": check.residual,
+        "tol": check.tol,
         "M": args.M,
-        "ok": ok,
+        "ok": check.ok,
     }
     _emit(args, human, record)
-    return 0 if ok else 1
+    return 0 if check.ok else 1
 
 
 def build_parser():
@@ -265,10 +264,24 @@ def build_parser():
     return parser
 
 
+def _glue_negative_t(argv):
+    """argv with each "--t" and a following negative number joined into
+    one "--t=-p/q": argparse takes "-2/3" after "--t" for an option, but
+    reads the value of "--t=-2/3"."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--t" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def run(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_negative_t(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -189,22 +189,13 @@ def two_one_rhs_word(j):
     return Word(2 * x + 1 for x in js), Fraction(2) ** len(js)
 
 
-def _y_circle_act(c, terms):
-    """Index-addition action on odd-letter words written in y-coordinates
-    (y_p has z-subscript 2p+1): y_c merges into the first y-letter."""
-    out = {}
-    for w, coef in terms.items():
-        if not w:
-            continue
-        u = (c + w[0],) + w[1:]
-        out[u] = out.get(u, 0) + coef
-    return out
-
-
 @cache
 def _y_product(yu: tuple, yv: tuple) -> tuple:
     """Recursive product on y-words mirroring the half-parameter product
-    on the odd-letter subalgebra.  Returns sorted ((word, coeff), ...)."""
+    on the odd-letter subalgebra: y_i u * y_j v = y_i (u * y_j v)
+    + y_j (y_i u * v) - (y_(i+j+1) o (u * v)), where y_c o merges into the
+    first y-letter (y_p has z-subscript 2p+1) and kills the empty word.
+    Returns sorted ((word, coeff), ...)."""
     if not yu:
         return ((yv, Fraction(1)),)
     if not yv:
@@ -218,9 +209,10 @@ def _y_product(yu: tuple, yv: tuple) -> tuple:
     for w, c in _y_product(yu, v):
         key = (j,) + w
         acc[key] = acc.get(key, 0) + c
-    inner = dict(_y_product(u, v))
-    for key, c in _y_circle_act(i + j + 1, inner).items():
-        acc[key] = acc.get(key, 0) - c
+    for w, c in _y_product(u, v):
+        if w:
+            key = (i + j + 1 + w[0],) + w[1:]
+            acc[key] = acc.get(key, 0) - c
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 

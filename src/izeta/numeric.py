@@ -27,10 +27,13 @@ are lower bounds, and the reported `err` is proved.  It adds up
 It never goes below 8*eps*|value|, so callers' own float arithmetic on
 the values stays covered.  `M` caps the truncation point: each series
 sums min(M, the terms PREC bits need) terms, at most 111, so every
-M >= 111 gives the same value.
+M >= 111 gives the same value.  An M below the depth of a word is
+refused, for strict and star values alike.
 
-Star values are the integer S^1 expansion of strict values, and
-`eval_element` sums coefficient * value exactly before rounding once.
+Star values are the integer S^1 expansion of strict values.  Every value
+is one sum of integer coefficients over one denominator times strict
+values, taken exactly and rounded once: 1 for `mzv` and `mzsv`, and
+the coefficients at t over their common denominator for `eval_element`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Index, as_sum, substitute_t
+from .algebra import Index, _as_exact, _at_alpha, as_sum
 from .interpolate import _s_t_word
 
 METHOD = "convolution"
@@ -150,19 +153,15 @@ def _strict(parts, M):
     return value, bound
 
 
-def _result(coeffs, M, meta):
-    """Sum c * zeta(w) over {Word: rational c} exactly, in integers over
-    the common denominator, round to a float once, and bound the error:
-    the per-term bounds, the rounding (rounded up), and the
-    8*eps*|value| floor."""
-    coeffs = {w: Fraction(c) for w, c in coeffs.items()}
-    den = math.lcm(*(c.denominator for c in coeffs.values()))
+def _result(den, coeffs, M, meta):
+    """Sum c * zeta(w) / den over {Word: int c} exactly, round to a float
+    once, and bound the error: the per-term bounds, the rounding (rounded
+    up), and the 8*eps*|value| floor."""
     value = bound = 0
     for w, c in coeffs.items():
         v, b = _strict(w, M)
-        scale = den // c.denominator
-        value += c.numerator * scale * v
-        bound += abs(c.numerator) * scale * b
+        value += c * v
+        bound += abs(c) * b
     den *= _ONE * _ONE
     value = Fraction(value, den)
     x = float(value)
@@ -173,46 +172,52 @@ def _result(coeffs, M, meta):
     return NumResult(x, max(e, 8.0 * _EPS * abs(x)), M, meta)
 
 
-def mzv(idx, M):
-    """Strict multiple zeta value of an admissible index; every series
-    sums at most M terms."""
+def _checked_index(idx, M):
+    """The admissible index `idx` as an Index, refused when M is below
+    its depth."""
     if not isinstance(idx, Index):
         idx = Index(idx)
     if not idx.admissible:
         raise ValueError(f"divergent series: index {idx} is not admissible")
     if M < idx.depth:
         raise ValueError(f"truncation M={M} below depth {idx.depth}")
-    return _result({idx: 1}, int(M), f"zeta({idx})")
+    return idx
+
+
+def mzv(idx, M):
+    """Strict multiple zeta value of an admissible index; every series
+    sums at most M terms."""
+    idx = _checked_index(idx, M)
+    return _result(1, {idx: 1}, int(M), f"zeta({idx})")
 
 
 def mzsv(idx, M):
     """Non-strict (star) variant of :func:`mzv`: the sum of the strict
     values of all contractions of the index."""
-    if not isinstance(idx, Index):
-        idx = Index(idx)
-    if not idx.admissible:
-        raise ValueError(f"divergent series: index {idx} is not admissible")
-    if M < 1:
-        raise ValueError("truncation M must be positive")
+    idx = _checked_index(idx, M)
     coeffs = dict.fromkeys(_s_t_word(idx.to_word()), 1)
-    return _result(coeffs, int(M), f"zeta*({idx})")
+    return _result(1, coeffs, int(M), f"zeta*({idx})")
 
 
 def eval_element(e, alpha, M):
     """Evaluate a formal sum of admissible words: substitute t = alpha in
     the coefficients, then sum coefficient * zeta(word) over the terms.
 
-    The sum is exact until the one final rounding, and the error bound is
-    the weighted sum of the per-term bounds plus that rounding."""
-    e = substitute_t(as_sum(e), alpha)
+    The coefficients at alpha are integers over one common denominator,
+    so the sum is exact until the one final rounding, and the error bound
+    is the weighted sum of the per-term bounds plus that rounding."""
+    e = as_sum(e)
+    den, values = _at_alpha(_as_exact(alpha), ((p, 1) for p in e.terms.values()))
     coeffs = {}
-    for w, poly in e.items():
+    for w, (c,) in zip(e.terms, values):
+        if not c:  # the coefficient vanishes at alpha
+            continue
         if not w or w[0] < 2:
             raise ValueError(f"divergent term: word [{w}]")
         if M < w.depth:
             raise ValueError(f"truncation M={M} below depth {w.depth}")
-        coeffs[w] = poly.constant()
-    return _result(coeffs, int(M), f"element@t={alpha}")
+        coeffs[w] = c
+    return _result(den, coeffs, int(M), f"element@t={alpha}")
 
 
 @dataclass(frozen=True)

@@ -77,16 +77,18 @@ class RelationCertificate:
         """Exact re-substitution in integers: target - sum c_i g_i == 0
         times L, the lcm of the denominators of the target and of each
         c_i g_i, coefficient by coefficient of each (word, power of t).
-        Inexact coefficients raise TypeError."""
-        if self.coefficients is None:
+        A coefficient list of the wrong length fails; an inexact
+        coefficient, zero or not, raises TypeError."""
+        if self.coefficients is None or len(self.coefficients) != len(self.generators):
             return False
         forms = _shared_forms.get({})
         used = [(-1, *_integer_form(self.target))]  # the target, with coefficient -1
         for c, g in zip(self.coefficients, self.generators):
-            if c is not _ZERO and c:  # `is` skips the solver's zeros without a call
+            # `is` skips the solver's zeros without a call
+            if c is not _ZERO and _as_exact(c):
                 if id(g) not in forms:
                     forms[id(g)] = _integer_form(g)
-                used.append((_as_exact(c), *forms[id(g)]))
+                used.append((c, *forms[id(g)]))
         common = lcm(*(c.denominator * d for c, d, _ in used))
         acc = {}
         for c, d, vec in used:

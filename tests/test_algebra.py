@@ -337,3 +337,25 @@ def test_products_are_bilinear():
     assert lhs == harmonic_product(ea, ec) + 2 * harmonic_product(eb, ec)
     lhs = t_harmonic_product(ec, T * ea - eb)
     assert lhs == T * t_harmonic_product(ec, ea) - t_harmonic_product(ec, eb)
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: parse_ratpoly(""), ValueError, "empty polynomial"),
+        (lambda: parse_ratpoly("2t^x"), ValueError, "malformed polynomial term '2t^x'"),
+        (lambda: parse_formal_sum("(1)*[2] + junk"), ValueError,
+         "malformed formal sum near 'junk'"),
+        (lambda: parse_formal_sum("(1)*[2] junk"), ValueError,
+         "malformed formal sum near ' junk'"),
+        (lambda: parse_word("2,x"), ValueError,
+         "malformed word '2,x': invalid literal for int() with base 10: 'x'"),
+        (lambda: parse_index("  "), ValueError, "index must be nonempty"),
+        (lambda: RatPoly(2) ** -1, ValueError, "nonnegative integer power required"),
+        (lambda: as_sum(3), TypeError, "expected Word or FormalSum, got int"),
+    ],
+)
+def test_refusals_name_what_is_wrong(call, kind, message):
+    with pytest.raises(kind) as info:
+        call()
+    assert type(info.value) is kind and str(info.value) == message

@@ -3,17 +3,20 @@
 import hashlib
 import json
 import os
+import shlex
 import signal
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import izeta.cli as cli
-from izeta.algebra import FormalSum, Word, parse_formal_sum, t_harmonic_product
+from izeta.algebra import FormalSum, Index, Word, parse_formal_sum, t_harmonic_product
 from izeta.interpolate import s_t
+from izeta.numeric import eval_element, mzsv
 from izeta.reduction import RelationCertificate
 
 
@@ -277,3 +280,116 @@ def test_json_survives_signals_while_stdout_blocks():
     out, _ = child.communicate(timeout=120)
     assert child.returncode == 0
     assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--index", "3,1,2", "--t", "{t}"],
+        ["eval", "--index", "2,1", "--t", "{t}", "--json"],
+        ["verify", "sum-formula", "--k", "4", "--numeric", "--t", "{t}"],
+        ["verify", "cyclic", "--k", "4", "--numeric", "--t", "{t}", "--json"],
+    ],
+)
+def test_negative_t_reads_the_same_as_a_separate_argument(capsys, argv):
+    for t in ("-2/3", "-1", "-0.5"):
+        glued = [a for a in argv if a != "--t"]
+        glued[glued.index("{t}")] = f"--t={t}"
+        code, out, err = run_lines(capsys, glued)
+        assert code == 0 and not err
+        separate = [t if a == "{t}" else a for a in argv]
+        assert run_lines(capsys, separate) == (code, out, err)
+
+
+def test_t_without_a_value_is_still_a_usage_error(capsys):
+    code, out, err = run_lines(capsys, ["eval", "--index", "2", "--t", "--json"])
+    assert code == 2 and not out
+    assert "argument --t: expected one argument" in err
+
+
+def test_malformed_t_exits_two_without_numeric(capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("a side or certificate was built")
+
+    for name in ("verify_sf_reduction", "verify_csf_reduction", "sum_formula_relations"):
+        monkeypatch.setattr(cli, name, build)
+    code, out, err = run_lines(capsys, ["verify", "sum-formula", "--k", "3", "--t", "x"])
+    assert code == 2 and not out
+    assert err == "error: malformed rational 'x' (write p/q)\n"
+
+
+def test_alt_sum_refuses_an_empty_word(capsys):
+    code, out, err = run_lines(capsys, ["verify", "alt-sum", "--word", ""])
+    assert code == 2 and not out
+    assert err == "error: alt-sum needs a nonempty letter sequence\n"
+
+
+def test_two_one_is_one_identity_check(capsys, monkeypatch):
+    calls = []
+    check = cli.verify_identity
+    monkeypatch.setattr(
+        cli, "verify_identity", lambda *args: calls.append(args) or check(*args)
+    )
+    code, out, _ = run_lines(capsys, ["verify", "two-one", "--j", "2,1", "--M", "300", "--json"])
+    assert code == 0 and len(calls) == 1
+    lhs, rhs, samples, m = calls[0]
+    assert samples == [Fraction(1, 2)] and m == 300
+    assert lhs.is_t_free() and rhs.is_t_free()
+    # the star value, and 2^n times the value at t = 1/2, each evaluated alone
+    star = mzsv(Index((2, 2, 1, 2, 1)), 300)
+    half = eval_element(s_t(w(5, 3)), Fraction(1, 2), 300)
+    record = json.loads(out[0])
+    assert record["lhs"] == star.value and record["rhs"] == 4 * half.value
+    assert record["tol"] == star.err + 4 * half.err
+    assert record["residual"] == abs(star.value - 4 * half.value) and record["ok"]
+
+
+@pytest.mark.parametrize("j, depth", [("1", 2), ("2,2", 6), ("3,1,2", 9)])
+def test_two_one_refuses_M_below_the_star_depth(capsys, j, depth):
+    for m in (depth - 1, 0):
+        code, out, err = run_lines(capsys, ["verify", "two-one", "--j", j, "--M", str(m)])
+        assert code == 2 and not out
+        assert err == f"error: truncation M={m} below depth {depth}\n"
+    code, out, _ = run_lines(capsys, ["verify", "two-one", "--j", j, "--M", str(depth)])
+    assert code == 0 and out[0].startswith("ok")
+
+
+def _readme_examples():
+    """(argv, expected stdout lines) of each `$ izeta` example in the
+    first code block of README's "Command line" section."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ izeta "):
+            examples.append((shlex.split(line)[2:], []))
+        elif line and examples:
+            examples[-1][1].append(line)
+    return examples
+
+
+def _lines_match(expected, actual):
+    """`actual` equals `expected`, where a "..." line stands for any run
+    of lines."""
+    if not expected:
+        return not actual
+    if expected[0] == "...":
+        return any(_lines_match(expected[1:], actual[i:]) for i in range(len(actual) + 1))
+    return bool(actual) and actual[0] == expected[0] and _lines_match(expected[1:], actual[1:])
+
+
+def test_readme_line_matcher():
+    assert _lines_match(["a", "...", "d"], ["a", "b", "c", "d"])
+    assert _lines_match(["a", "...", "b"], ["a", "b"])
+    assert not _lines_match(["a", "...", "d"], ["a", "b", "c"])
+    assert not _lines_match(["a"], ["a", "b"])
+
+
+def test_readme_command_line_examples_print_what_they_show(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 5
+    for argv, expected in examples:
+        code = cli.run(argv)
+        captured = capsys.readouterr()
+        assert code == 0 and not captured.err, argv
+        assert _lines_match(expected, captured.out.splitlines()), (argv, captured.out)

@@ -252,3 +252,19 @@ def test_odd_words_close_under_half_parameter_product():
 def test_odd_check_rejects_even_letters():
     with pytest.raises(ValueError, match="outside odd subalgebra"):
         odd_product_check(Word((2,)), Word((1,)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: words_of_weight(0), "weight must be positive"),
+        (lambda: sum_poly(3, 3), "empty family: weight 3, depth 3"),
+        (lambda: alt_sum([]), "letter sequence must be nonempty"),
+        (lambda: two_one_lhs_index([]), "need at least one block"),
+        (lambda: two_one_lhs_index([1, -1]), "block sizes must be nonnegative"),
+    ],
+)
+def test_identity_builders_refuse_empty_or_negative_input(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

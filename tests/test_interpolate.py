@@ -28,6 +28,7 @@ from izeta.interpolate import (
     taylor_shift,
     zeta_t_words,
 )
+from izeta.interpolate import Contraction
 from izeta.numeric import mzsv
 
 from helpers import (
@@ -385,3 +386,17 @@ def test_taylor_shift_of_zero_and_of_constants():
     assert taylor_shift(zero, Fraction(1, 3)) == [zero]
     assert taylor_shift(zero, 0) == [zero]
     assert taylor_shift(RatPoly({2: 1}) * w(3), 0) == [zero, zero, w(3)]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Contraction((1, 2), 0), "invalid contraction marks (1, 2)"),
+        (lambda: Contraction((0, 2), 0), "sigma inconsistent with marks"),
+        (lambda: log_s(Word()), "unit has no contractions"),
+    ],
+)
+def test_contractions_refuse_bad_marks_and_the_unit(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError and str(info.value) == message

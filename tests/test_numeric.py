@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from izeta.algebra import FormalSum, Index, Word
+from izeta.algebra import FormalSum, Index, RatPoly, Word
 from izeta.identities import sum_poly, sum_words
 from izeta.interpolate import s_t
 from izeta.numeric import (
@@ -157,3 +157,38 @@ def test_num_result_renders_value_error_and_cutoff():
     r = mzv(Index((2,)), M_SMALL)
     text = str(r)
     assert "err" in text and str(M_SMALL) in text
+
+
+@pytest.mark.parametrize("parts", [(2,), (2, 1), (2, 1, 1), (3, 1, 2, 1)])
+def test_strict_and_star_values_refuse_M_below_the_depth(parts):
+    depth = len(parts)
+    for fn in (mzv, mzsv):
+        for m in (depth - 1, 0):
+            with pytest.raises(ValueError) as info:
+                fn(Index(parts), m)
+            assert str(info.value) == f"truncation M={m} below depth {depth}"
+        assert fn(Index(parts), depth).err > 0
+    with pytest.raises(ValueError) as info:
+        mzsv(Index((1, 2)), 0)
+    assert str(info.value) == "divergent series: index 1,2 is not admissible"
+
+
+def test_eval_element_skips_words_whose_coefficient_vanishes_at_t():
+    one_minus_2t = RatPoly({0: 1, 1: -2})
+    e = FormalSum.from_word(Word((2,))) + one_minus_2t * (
+        FormalSum.from_word(Word((1, 2))) + FormalSum.from_word(Word((2, 1, 1, 1)))
+    )
+    r = eval_element(e, Fraction(1, 2), 2)
+    z2 = mzv(Index((2,)), 2)
+    assert (r.value, r.err) == (z2.value, z2.err)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-2, 3), 3])
+def test_eval_element_scales_exactly_by_powers_of_two(alpha):
+    # the sum is exact until one rounding, so a power of two passes through
+    e = s_t(sum_words(6, 3)) + Fraction(5, 7) * s_t(FormalSum.from_word(Word((3, 1, 2))))
+    for M in (5, 300):
+        r = eval_element(e, alpha, M)
+        for k in (1, 3, 10):
+            scaled = eval_element(2**k * e, alpha, M)
+            assert (scaled.value, scaled.err) == (2**k * r.value, 2**k * r.err)

@@ -255,3 +255,24 @@ def test_verify_certificates_converts_each_shared_generator_once(monkeypatch):
     assert all(verify_certificates(certs))
     used = {i for c in certs for i, x in enumerate(c.coefficients) if x}
     assert len(converted) == len(certs) + len(used)  # each target, each used generator
+
+
+@pytest.mark.parametrize("coefficients", [[2, 0, 99], [2, 0, 0], [2], []])
+def test_verify_fails_a_coefficient_list_of_the_wrong_length(coefficients):
+    g = w(2, 1) - w(3)
+    assert RelationCertificate(2 * g, [g, w(4)], [2, 0]).verify()
+    assert not RelationCertificate(2 * g, [g, w(4)], coefficients).verify()
+
+
+@pytest.mark.parametrize("inexact", [0.0, -0.0, 2.0, 0.5])
+def test_verify_refuses_every_inexact_coefficient(inexact):
+    g = w(2, 1) - w(3)
+    with pytest.raises(TypeError) as info:
+        RelationCertificate(2 * g, [g, w(4)], [2, inexact]).verify()
+    assert str(info.value) == "exact rational coefficient required, got float"
+
+
+def test_certificate_text_lists_the_nonzero_coefficients():
+    g = w(2, 1) - w(3)
+    assert str(RelationCertificate(2 * g, [g], [Fraction(2)], "L")) == "L: target = 2*g0"
+    assert str(RelationCertificate(FormalSum.zero(), [g], [0], "Z")) == "Z: target = 0"
