@@ -36,8 +36,8 @@ from math import lcm
 
 
 def _as_exact(c):
-    """Accept ints and Fractions, reject anything inexact."""
-    if isinstance(c, (int, Fraction)):
+    """Accept ints and Fractions, reject anything inexact, and bools."""
+    if isinstance(c, (int, Fraction)) and type(c) is not bool:
         return c
     raise TypeError(f"exact rational coefficient required, got {type(c).__name__}")
 
@@ -128,7 +128,7 @@ class RatPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("nonnegative integer power required")
         out = RatPoly(1)
         for _ in range(n):
@@ -136,14 +136,16 @@ class RatPoly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             other = RatPoly(other)
         if not isinstance(other, RatPoly):
             return NotImplemented
         return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        # a constant equals its number (see __eq__), so it must hash as it
+        key = self.constant() if self.is_constant() else frozenset(self.coeffs.items())
+        return hash(key)
 
     def evaluate(self, alpha):
         """Exact value at t = alpha (alpha an int or Fraction)."""
@@ -230,9 +232,6 @@ class Word(tuple):
     @property
     def depth(self):
         return len(self)
-
-    def to_index(self):
-        return Index(self)
 
     def __str__(self):
         return ",".join(map(str, self))

@@ -208,30 +208,32 @@ def build_parser():
         prog="izeta",
         description="Exact interpolated multiple-zeta algebra and numerics.",
     )
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true")
+    truncation = argparse.ArgumentParser(add_help=False, parents=[json_flag])
+    truncation.add_argument("--M", type=int, default=100000)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("expand", help="merge-pattern expansion of an index")
+    p = sub.add_parser("expand", parents=[json_flag],
+                       help="merge-pattern expansion of an index")
     p.add_argument("--index", required=True, help='index like "2,1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("st", help="apply the interpolation operator to a word")
+    p = sub.add_parser("st", parents=[json_flag],
+                       help="apply the interpolation operator to a word")
     p.add_argument("--word", required=True, help='word like "2,1,1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_st)
 
-    p = sub.add_parser("product", help="product of two words")
+    p = sub.add_parser("product", parents=[json_flag], help="product of two words")
     p.add_argument("--mode", required=True, choices=sorted(_PRODUCTS))
     p.add_argument("--left", required=True, help='word like "1"')
     p.add_argument("--right", required=True, help='word like "1,1"')
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("eval", help="numerically evaluate an interpolated value")
+    p = sub.add_parser("eval", parents=[truncation],
+                       help="numerically evaluate an interpolated value")
     p.add_argument("--index", required=True)
     p.add_argument("--t", default="0", help="exact rational p/q")
-    p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_eval)
 
     pv = sub.add_parser("verify", help="run an identity suite")
@@ -242,23 +244,20 @@ def build_parser():
          sum_formula_relations),
         ("cyclic", "cyclic sum reductions", verify_csf_reduction, cyclic_relations),
     ):
-        p = vsub.add_parser(suite, help=about)
+        p = vsub.add_parser(suite, parents=[truncation], help=about)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--numeric", action="store_true")
         p.add_argument("--t", default="1/2", help="exact rational p/q")
-        p.add_argument("--M", type=int, default=100000)
-        p.add_argument("--json", action="store_true")
         p.set_defaults(func=_cmd_verify_reduction, certify=certify, relations=relations)
 
-    p = vsub.add_parser("alt-sum", help="alternating-sum vanishing")
+    p = vsub.add_parser("alt-sum", parents=[json_flag],
+                        help="alternating-sum vanishing")
     p.add_argument("--word", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_alt_sum)
 
-    p = vsub.add_parser("two-one", help="star values vs half-parameter values")
+    p = vsub.add_parser("two-one", parents=[truncation],
+                        help="star values vs half-parameter values")
     p.add_argument("--j", required=True, help='block sizes like "1,1"')
-    p.add_argument("--M", type=int, default=100000)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify_two_one)
 
     return parser

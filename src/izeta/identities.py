@@ -60,14 +60,11 @@ def _sum_families(k):
 
 def sum_poly(k, n):
     """Weight-k depth-n interpolation polynomial: sum over j < n of
-    C(k-1, j) t^j (1-t)^(n-1-j), expanded exactly."""
+    C(k-1, j) t^j (1-t)^(n-1-j), expanded exactly.  Its t^j coefficient
+    is C(k-n+j-1, j), which is what is returned."""
     if n < 1 or k <= n:
         raise ValueError(f"empty family: weight {k}, depth {n}")
-    one_minus_t = RatPoly({0: 1, 1: -1})
-    out = RatPoly(0)
-    for j in range(n):
-        out = out + comb(k - 1, j) * (T**j) * (one_minus_t ** (n - 1 - j))
-    return out
+    return RatPoly({j: comb(k - n + j - 1, j) for j in range(n)})
 
 
 def sum_formula_sides(k, n):
@@ -189,33 +186,6 @@ def two_one_rhs_word(j):
     return Word(2 * x + 1 for x in js), Fraction(2) ** len(js)
 
 
-@cache
-def _y_product(yu: tuple, yv: tuple) -> tuple:
-    """Recursive product on y-words mirroring the half-parameter product
-    on the odd-letter subalgebra: y_i u * y_j v = y_i (u * y_j v)
-    + y_j (y_i u * v) - (y_(i+j+1) o (u * v)), where y_c o merges into the
-    first y-letter (y_p has z-subscript 2p+1) and kills the empty word.
-    Returns sorted ((word, coeff), ...)."""
-    if not yu:
-        return ((yv, Fraction(1)),)
-    if not yv:
-        return ((yu, Fraction(1)),)
-    i, u = yu[0], yu[1:]
-    j, v = yv[0], yv[1:]
-    acc = {}
-    for w, c in _y_product(u, yv):
-        key = (i,) + w
-        acc[key] = acc.get(key, 0) + c
-    for w, c in _y_product(yu, v):
-        key = (j,) + w
-        acc[key] = acc.get(key, 0) + c
-    for w, c in _y_product(u, v):
-        if w:
-            key = (i + j + 1 + w[0],) + w[1:]
-            acc[key] = acc.get(key, 0) - c
-    return tuple(sorted((w, c) for w, c in acc.items() if c))
-
-
 def odd_product_check(u, v):
     """Check, for two words over odd subscripts, that the half-parameter
     product computed in the z-letters agrees with the y-word recursion
@@ -223,18 +193,39 @@ def odd_product_check(u, v):
     for w in (u, v):
         if any(a % 2 == 0 for a in w):
             raise ValueError(f"outside odd subalgebra: {w!r}")
+
+    @cache
+    def y_product(yu, yv):
+        """Recursive product on y-words mirroring the half-parameter
+        product on the odd-letter subalgebra: y_i u * y_j v = y_i (u * y_j v)
+        + y_j (y_i u * v) - (y_(i+j+1) o (u * v)), where y_c o merges into
+        the first y-letter (y_p has z-subscript 2p+1) and kills the empty
+        word.  Returns {word: coeff} with no zero coefficient."""
+        if not yu:
+            return {yv: Fraction(1)}
+        if not yv:
+            return {yu: Fraction(1)}
+        i, u = yu[0], yu[1:]
+        j, v = yv[0], yv[1:]
+        acc = {(i,) + w: c for w, c in y_product(u, yv).items()}
+        for w, c in y_product(yu, v).items():
+            key = (j,) + w
+            acc[key] = acc.get(key, 0) + c
+        for w, c in y_product(u, v).items():
+            if w:
+                key = (i + j + 1 + w[0],) + w[1:]
+                acc[key] = acc.get(key, 0) - c
+        return {w: c for w, c in acc.items() if c}
+
     half = Fraction(1, 2)
     direct = substitute_t(t_harmonic_product(as_sum(u), as_sum(v)), half)
     scale = Fraction(2) ** (u.depth + v.depth)
+    # w -> ((a - 1) / 2 for a in w) is one to one, so each y-word comes once
     in_y = {}
     for w, c in direct.terms.items():
         if any(a % 2 == 0 for a in w):
             return False  # escaped the odd subalgebra
-        yw = tuple((a - 1) // 2 for a in w)
-        coef = c.constant() * scale / Fraction(2) ** w.depth
-        in_y[yw] = in_y.get(yw, 0) + coef
-    in_y = {w: c for w, c in in_y.items() if c}
+        in_y[tuple((a - 1) // 2 for a in w)] = c.constant() * scale / 2**w.depth
     yu = tuple((a - 1) // 2 for a in u)
     yv = tuple((a - 1) // 2 for a in v)
-    recursed = dict(_y_product(yu, yv))
-    return in_y == recursed
+    return in_y == y_product(yu, yv)

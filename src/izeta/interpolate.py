@@ -104,18 +104,15 @@ def s_poly(e, param):
     """Apply the operator with its parameter replaced by the polynomial
     `param`; Q[t]-linear, so existing coefficients are left alone."""
     param = RatPoly(param)
-    powers = {0: RatPoly(1)}
-
-    def ppow(n):
-        if n not in powers:
-            powers[n] = ppow(n - 1) * param
-        return powers[n]
-
+    powers = [RatPoly(1)]  # param^0, param^1, ..., grown on demand
     out = {}
     for w, c in as_sum(e).terms.items():
         for u in _s_t_word(w):
             # u carries t^sigma, sigma its merges; replace it by param^sigma
-            p = c * ppow(len(w) - len(u))
+            sigma = len(w) - len(u)
+            while len(powers) <= sigma:
+                powers.append(powers[-1] * param)
+            p = c * powers[sigma]
             q = out.get(u)
             out[u] = p if q is None else q + p
     return FormalSum(out)

@@ -98,19 +98,7 @@ class RelationCertificate:
     def to_record(self):
         """Machine-readable dict; rationals rendered as p/q strings, with
         an explicit FAILURE marker when the target fell outside the span."""
-        return self._record([str(g) for g in self.generators])
-
-    def _record(self, generators):
-        """`to_record` with the generator list already rendered."""
-        return {
-            "label": self.label,
-            "target": str(self.target),
-            "generators": generators,
-            "coefficients": "FAILURE"
-            if self.coefficients is None
-            else [str(Fraction(c)) for c in self.coefficients],
-            "success": self.success,
-        }
+        return certificate_records([self])[0]
 
     def __str__(self):
         if not self.success:
@@ -187,17 +175,25 @@ class SpanSolver:
 
 
 def certificate_records(certs):
-    """`to_record()` of each certificate, rendering a generator list once
-    however many certificates share it (as all certificates from one
-    `verify_*_reduction` call do)."""
+    """The machine-readable dict of each certificate (label, target,
+    generators, coefficients as p/q strings or "FAILURE", success),
+    rendering a generator list once however many certificates share it
+    (as all certificates from one `verify_*_reduction` call do)."""
     rendered = {}
     records = []
     for cert in certs:
-        generators = rendered.get(id(cert.generators))
-        if generators is None:
-            generators = [str(g) for g in cert.generators]
-            rendered[id(cert.generators)] = generators
-        records.append(cert._record(generators))
+        key = id(cert.generators)
+        if key not in rendered:
+            rendered[key] = [str(g) for g in cert.generators]
+        records.append({
+            "label": cert.label,
+            "target": str(cert.target),
+            "generators": rendered[key],
+            "coefficients": "FAILURE"
+            if cert.coefficients is None
+            else [str(Fraction(c)) for c in cert.coefficients],
+            "success": cert.success,
+        })
     return records
 
 

@@ -84,6 +84,28 @@ def test_ratpoly_exponents_must_be_nonnegative_ints(e):
         RatPoly({e: 1})
 
 
+@pytest.mark.parametrize("c", [0, 2, -3, Fraction(1, 2)])
+def test_a_constant_polynomial_hashes_as_the_number_it_equals(c):
+    assert RatPoly(c) == c
+    assert hash(RatPoly(c)) == hash(c)
+    assert len({RatPoly(c), c}) == 1
+
+
+def test_bools_are_neither_coefficients_nor_powers():
+    for build in (
+        lambda: RatPoly(True),
+        lambda: RatPoly({1: False}),
+        lambda: FormalSum.from_word(Word((2,)), True),
+    ):
+        with pytest.raises(TypeError, match="exact rational coefficient required, got bool"):
+            build()
+    with pytest.raises(ValueError, match="nonnegative integer power required"):
+        pow(T, True)
+    for b in (True, False):
+        assert (RatPoly(int(b)) == b) is False
+        assert RatPoly(int(b)) != b
+
+
 def test_ratpoly_str_and_parse():
     assert str(RatPoly({0: 1, 1: -2, 2: 1})) == "1 - 2*t + t^2"
     assert str(RatPoly()) == "0"

@@ -1,5 +1,6 @@
 """Command-line surface: verbs, output forms, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -205,6 +206,61 @@ def test_unknown_verb_exits_two(capsys):
 def test_missing_required_option_exits_two(capsys):
     assert cli.run(["st"]) == 2
     capsys.readouterr()
+
+
+# Every command's options as (required, default, help), "-h" aside.
+JSON = {"--json": (False, False, None)}
+TRUNCATION = {**JSON, "--M": (False, 100000, None)}
+RATIONAL = "exact rational p/q"
+SUITE = {
+    **TRUNCATION,
+    "--k": (True, None, None),
+    "--numeric": (False, False, None),
+    "--t": (False, "1/2", RATIONAL),
+}
+CLI_OPTIONS = {
+    ("expand",): {**JSON, "--index": (True, None, 'index like "2,1"')},
+    ("st",): {**JSON, "--word": (True, None, 'word like "2,1,1"')},
+    ("product",): {
+        **JSON,
+        "--mode": (True, None, None),
+        "--left": (True, None, 'word like "1"'),
+        "--right": (True, None, 'word like "1,1"'),
+    },
+    ("eval",): {**TRUNCATION, "--index": (True, None, None), "--t": (False, "0", RATIONAL)},
+    ("verify", "sum-formula"): SUITE,
+    ("verify", "cyclic"): SUITE,
+    ("verify", "alt-sum"): {**JSON, "--word": (True, None, None)},
+    ("verify", "two-one"): {**TRUNCATION, "--j": (True, None, 'block sizes like "1,1"')},
+}
+
+
+def leaf_commands(parser, path=()):
+    """(command path, parser) for each command that takes no subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_commands(child, path + (name,))
+
+
+def test_every_command_keeps_exactly_its_options():
+    commands = dict(leaf_commands(cli.build_parser()))
+    options = {
+        path: {a.option_strings[0]: a for a in p._actions if a.dest != "help"}
+        for path, p in commands.items()
+    }
+    assert all(len(a.option_strings) == 1 for o in options.values() for a in o.values())
+    surface = {
+        path: {name: (a.required, a.default, a.help) for name, a in o.items()}
+        for path, o in options.items()
+    }
+    assert surface == CLI_OPTIONS
+    for o in options.values():
+        assert type(o["--json"]) is argparse._StoreTrueAction
+        assert all(o[name].type is int for name in ("--M", "--k") if name in o)
+    assert options[("product",)]["--mode"].choices == ["harmonic", "star", "t"]
 
 
 # Digests of stdout, each recorded before the code behind it was rewritten

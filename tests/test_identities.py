@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from izeta.algebra import FormalSum, Index, RatPoly, Word, harmonic_product
+from izeta.algebra import FormalSum, Index, RatPoly, T, Word, harmonic_product
 from izeta.identities import (
     alt_sum,
     csf_generator,
@@ -87,6 +87,16 @@ def test_sum_poly_boundary_values():
             p = sum_poly(k, n)
             assert p.evaluate(0) == 1
             assert p.evaluate(1) == comb(k - 1, n - 1)
+
+
+def test_sum_poly_is_the_papers_sum_of_binomial_terms():
+    one_minus_t = 1 - T
+    for k in range(2, 25):
+        for n in range(1, k):
+            paper = RatPoly(0)
+            for j in range(n):
+                paper = paper + comb(k - 1, j) * T**j * one_minus_t ** (n - 1 - j)
+            assert sum_poly(k, n) == paper, (k, n)
 
 
 def test_word_ladder_matches_depth_drop():

@@ -130,3 +130,75 @@ def test_the_checker_sees_a_planted_private_import():
 
 def test_the_cli_imports_no_private_name_of_the_package():
     assert private_imports((PACKAGE / "cli.py").read_text()) == []
+
+
+def private_definitions(source):
+    """(name, first line, last line) of each underscore-prefixed function,
+    class or assignment at module level; dunder names such as `__all__`
+    are protocol, not helpers, and are skipped."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        found += [
+            (name, node.lineno, node.end_lineno)
+            for name in names
+            if name.startswith("_") and not name.endswith("__")
+        ]
+    return found
+
+
+def reads(source):
+    """(name, line) of each name the source reads, as a variable, an
+    attribute or an imported name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.add((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            found |= {(a.name, node.lineno) for a in node.names}
+    return found
+
+
+def unread_private_names(sources):
+    """`module:name` of each private definition in the {module: source}
+    dict `sources` that no module reads outside the definition itself."""
+    read = {module: reads(source) for module, source in sources.items()}
+    unread = []
+    for module, source in sources.items():
+        for name, first, last in private_definitions(source):
+            if not any(
+                n == name and not (m == module and first <= line <= last)
+                for m, lines in read.items()
+                for n, line in lines
+            ):
+                unread.append(f"{module}:{name}")
+    return unread
+
+
+def test_the_checker_sees_a_planted_dead_helper():
+    planted = {
+        "a": (
+            "__all__ = []\n"
+            "_LIMIT = 3\n"
+            "def _used():\n    return _LIMIT\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Dead:\n    pass\n"
+            "_unread: int = 0\n"
+        ),
+        "b": "from .a import _used\n_used()\n",
+    }
+    assert unread_private_names(planted) == ["a:_recursive", "a:_Dead", "a:_unread"]
+
+
+def test_every_private_name_of_the_package_is_read():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(private_definitions(s)) for s in sources.values()) > 0
+    assert unread_private_names(sources) == []
