@@ -112,7 +112,7 @@ class RatPoly:
         return RatPoly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and type(other) is not bool:
             if not other:
                 return _poly({})
             return _poly({e: c * other for e, c in self.coeffs.items()})
@@ -337,7 +337,7 @@ class FormalSum:
         return _normal_sum({w: -p for w, p in self.terms.items()})
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, (int, Fraction, RatPoly)):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction, RatPoly)):
             return NotImplemented
         if not scalar:
             return _normal_sum({})

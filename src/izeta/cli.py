@@ -26,11 +26,10 @@ from .interpolate import s_alpha, s_t, zeta_t_words
 from .numeric import BOUND, METHOD, eval_element, kernel_name, verify_identity
 from .reduction import (
     certificate_records,
+    certify_relations,
     cyclic_relations,
     sum_formula_relations,
     verify_certificates,
-    verify_csf_reduction,
-    verify_sf_reduction,
 )
 
 _PRODUCTS = {
@@ -130,14 +129,15 @@ def _cmd_verify_reduction(args):
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t)
     relations = args.relations(args.k)
-    # The sides are built one identity at a time and evaluated before any
-    # certificate, so the evaluator rejects a bad --M at the first side
-    # too deep for it.
-    reports = [
-        (label, verify_identity(lhs, rhs, [t], args.M))
-        for label, (lhs, rhs), _ in (relations if args.numeric else ())
-    ]
-    certs = args.certify(args.k)
+    # Under --numeric each identity's sides are built once, for both
+    # checks, and evaluated as they are built, before any certificate, so
+    # the evaluator rejects a bad --M at the first side too deep for it.
+    # Without it the relations stay lazy: no side outlives its Taylor shift.
+    reports, built = [], []
+    for label, sides, powers in relations if args.numeric else ():
+        reports.append((label, verify_identity(*sides, [t], args.M)))
+        built.append((label, sides, powers))
+    certs = certify_relations(args.suite, built if args.numeric else relations, 0)
     oks = verify_certificates(certs)
     ok = all(oks)
     if args.json:
@@ -239,16 +239,15 @@ def build_parser():
     pv = sub.add_parser("verify", help="run an identity suite")
     vsub = pv.add_subparsers(dest="suite", required=True)
 
-    for suite, about, certify, relations in (
-        ("sum-formula", "fixed-weight sum reductions", verify_sf_reduction,
-         sum_formula_relations),
-        ("cyclic", "cyclic sum reductions", verify_csf_reduction, cyclic_relations),
+    for suite, about, relations in (
+        ("sum-formula", "fixed-weight sum reductions", sum_formula_relations),
+        ("cyclic", "cyclic sum reductions", cyclic_relations),
     ):
         p = vsub.add_parser(suite, parents=[truncation], help=about)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--numeric", action="store_true")
         p.add_argument("--t", default="1/2", help="exact rational p/q")
-        p.set_defaults(func=_cmd_verify_reduction, certify=certify, relations=relations)
+        p.set_defaults(func=_cmd_verify_reduction, relations=relations)
 
     p = vsub.add_parser("alt-sum", parents=[json_flag],
                         help="alternating-sum vanishing")

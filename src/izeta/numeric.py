@@ -27,8 +27,8 @@ are lower bounds, and the reported `err` is proved.  It adds up
 It never goes below 8*eps*|value|, so callers' own float arithmetic on
 the values stays covered.  `M` caps the truncation point: each series
 sums min(M, the terms PREC bits need) terms, at most 111, so every
-M >= 111 gives the same value.  An M below the depth of a word is
-refused, for strict and star values alike.
+M >= 111 gives the same value.  An M that is not an int, or is below
+the depth of a word, is refused, for strict and star values alike.
 
 Star values are the integer S^1 expansion of strict values.  Every value
 is one sum of integer coefficients over one denominator times strict
@@ -172,6 +172,15 @@ def _result(den, coeffs, M, meta):
     return NumResult(x, max(e, 8.0 * _EPS * abs(x)), M, meta)
 
 
+def _check_truncation(M, depth):
+    """Refuse a truncation M that is not an int, or is below `depth`:
+    a float, a Fraction or a bool is not silently cut to an integer."""
+    if type(M) is not int:
+        raise ValueError(f"truncation M must be an integer, got {M}")
+    if M < depth:
+        raise ValueError(f"truncation M={M} below depth {depth}")
+
+
 def _checked_index(idx, M):
     """The admissible index `idx` as an Index, refused when M is below
     its depth."""
@@ -179,8 +188,7 @@ def _checked_index(idx, M):
         idx = Index(idx)
     if not idx.admissible:
         raise ValueError(f"divergent series: index {idx} is not admissible")
-    if M < idx.depth:
-        raise ValueError(f"truncation M={M} below depth {idx.depth}")
+    _check_truncation(M, idx.depth)
     return idx
 
 
@@ -188,7 +196,7 @@ def mzv(idx, M):
     """Strict multiple zeta value of an admissible index; every series
     sums at most M terms."""
     idx = _checked_index(idx, M)
-    return _result(1, {idx: 1}, int(M), f"zeta({idx})")
+    return _result(1, {idx: 1}, M, f"zeta({idx})")
 
 
 def mzsv(idx, M):
@@ -196,7 +204,7 @@ def mzsv(idx, M):
     values of all contractions of the index."""
     idx = _checked_index(idx, M)
     coeffs = dict.fromkeys(_s_t_word(idx.to_word()), 1)
-    return _result(1, coeffs, int(M), f"zeta*({idx})")
+    return _result(1, coeffs, M, f"zeta*({idx})")
 
 
 def eval_element(e, alpha, M):
@@ -207,6 +215,7 @@ def eval_element(e, alpha, M):
     so the sum is exact until the one final rounding, and the error bound
     is the weighted sum of the per-term bounds plus that rounding."""
     e = as_sum(e)
+    _check_truncation(M, 0)  # also for a sum with no term at alpha
     den, values = _at_alpha(_as_exact(alpha), ((p, 1) for p in e.terms.values()))
     coeffs = {}
     for w, (c,) in zip(e.terms, values):
@@ -214,10 +223,9 @@ def eval_element(e, alpha, M):
             continue
         if not w or w[0] < 2:
             raise ValueError(f"divergent term: word [{w}]")
-        if M < w.depth:
-            raise ValueError(f"truncation M={M} below depth {w.depth}")
+        _check_truncation(M, w.depth)
         coeffs[w] = c
-    return _result(den, coeffs, int(M), f"element@t={alpha}")
+    return _result(den, coeffs, M, f"element@t={alpha}")
 
 
 @dataclass(frozen=True)
@@ -261,7 +269,7 @@ def verify_identity(lhs, rhs, t_samples, M):
     a sample passes when the residual sits inside the combined error."""
     checks = []
     for t in t_samples:
-        t = Fraction(t)
+        t = Fraction(_as_exact(t))
         left = eval_element(lhs, t, M)
         right = eval_element(rhs, t, M)
         residual = abs(left.value - right.value)

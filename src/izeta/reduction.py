@@ -1,23 +1,21 @@
 """Exact linear algebra over the word basis: span-membership certificates
 for the reductions that the interpolation identities predict.
 
-Vectors are integers over one denominator: a formal sum becomes
-(den, {key: int}), its coefficients times den, the lcm of their
+Vectors are integers over one denominator: a t-free formal sum becomes
+(den, {Word: int}), its coefficients times den, the lcm of their
 denominators.  `SpanSolver` eliminates fraction-free (Bareiss, Math.
-Comp. 22 (1968)) on such t-free vectors keyed by Word: rows stay
-integer, and where a pivot does not divide the entry it clears, the
-vector being reduced is first scaled by the least integer that makes it
-divide.  Each coefficient becomes a Fraction once, at the end.
-`RelationCertificate` re-checks itself in integers keyed by (word,
-power of t), from its own target, generators and coefficients.  A
-failed membership is a value (certificate with no coefficients), not an
-error, so callers can report exactly which component fell outside the
-span.
+Comp. 22 (1968)) on such vectors: rows stay integer, and where a pivot
+does not divide the entry it clears, the vector being reduced is first
+scaled by the least integer that makes it divide.  Each coefficient
+becomes a Fraction once, at the end.  `verify_certificates` re-checks
+each certificate in the same integers, word by word, from its own
+target, generators and coefficients.  A failed membership is a value
+(certificate with no coefficients), not an error, so callers can report
+exactly which component fell outside the span.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,32 +26,18 @@ from .identities import cyclic_sides, sum_formula_sides, words_of_weight
 from .interpolate import taylor_shift
 
 
-def _over_one_denominator(values):
-    """(den, {key: int}) for the dict `values` of nonzero ints and
-    Fractions: each value times den, the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in values.values()))
-    return den, {key: x.numerator * (den // x.denominator) for key, x in values.items()}
-
-
 def _integer_form(e):
-    """A formal sum over one denominator, keyed by (word, power of t)."""
-    return _over_one_denominator(
-        {(w, j): x for w, p in as_sum(e).terms.items() for j, x in p.coeffs.items()}
-    )
-
-
-def _t_free_vector(e):
-    """A t-free formal sum over one denominator, keyed by Word."""
-    if not as_sum(e).is_t_free():
+    """A t-free formal sum over one denominator: (den, {Word: int}), each
+    coefficient times den, the lcm of their denominators."""
+    e = as_sum(e)
+    if not e.is_t_free():
         raise ValueError("reduction inputs must be t-free")
-    return _over_one_denominator({w: p.coeffs[0] for w, p in as_sum(e).terms.items()})
+    values = {w: p.coeffs[0] for w, p in e.terms.items()}
+    den = lcm(*(x.denominator for x in values.values()))
+    return den, {w: x.numerator * (den // x.denominator) for w, x in values.items()}
 
 
 _ZERO = Fraction(0)
-
-# {id(generator): integer form} while `verify_certificates` runs, so that
-# certificates sharing generators convert each of them once
-_shared_forms = ContextVar("_shared_forms")
 
 
 @dataclass
@@ -74,26 +58,8 @@ class RelationCertificate:
         return self.coefficients is not None
 
     def verify(self):
-        """Exact re-substitution in integers: target - sum c_i g_i == 0
-        times L, the lcm of the denominators of the target and of each
-        c_i g_i, coefficient by coefficient of each (word, power of t).
-        A coefficient list of the wrong length fails; an inexact
-        coefficient, zero or not, raises TypeError."""
-        if self.coefficients is None or len(self.coefficients) != len(self.generators):
-            return False
-        forms = _shared_forms.get({})
-        used = [(-1, *_integer_form(self.target))]  # the target, with coefficient -1
-        for c, g in zip(self.coefficients, self.generators):
-            # `is` skips the solver's zeros without a call
-            if c is not _ZERO and _as_exact(c):
-                if id(g) not in forms:
-                    forms[id(g)] = _integer_form(g)
-                used.append((c, *forms[id(g)]))
-        common = lcm(*(c.denominator * d for c, d, _ in used))
-        acc = {}
-        for c, d, vec in used:
-            _subtract(acc, c.numerator * (common // (c.denominator * d)), vec)
-        return not acc
+        """Exact re-substitution in integers, as in `verify_certificates`."""
+        return verify_certificates([self])[0]
 
     def to_record(self):
         """Machine-readable dict; rationals rendered as p/q strings, with
@@ -134,7 +100,7 @@ class SpanSolver:
         self.generators = list(generators)
         self._pivots = {}  # Word -> (vec, combo)
         for i, g in enumerate(self.generators):
-            den, vec = _t_free_vector(g)
+            den, vec = _integer_form(g)
             vec, combo = self._reduce(vec, {i: den})
             if vec:
                 self._pivots[min(vec)] = (vec, combo)
@@ -162,7 +128,7 @@ class SpanSolver:
 
     def coefficients_for(self, target):
         """Coefficients over the generators, or None if outside the span."""
-        den, vec = _t_free_vector(target)
+        den, vec = _integer_form(target)
         # the key None stands for the target: vec = den * target to start
         vec, combo = self._reduce(vec, {None: den})
         if vec:
@@ -178,7 +144,7 @@ def certificate_records(certs):
     """The machine-readable dict of each certificate (label, target,
     generators, coefficients as p/q strings or "FAILURE", success),
     rendering a generator list once however many certificates share it
-    (as all certificates from one `verify_*_reduction` call do)."""
+    (as all certificates from one `certify_relations` call do)."""
     rendered = {}
     records = []
     for cert in certs:
@@ -198,16 +164,36 @@ def certificate_records(certs):
 
 
 def verify_certificates(certs):
-    """`c.success and c.verify()` for each certificate, converting each
-    generator to integers once however many certificates share it (as all
-    certificates from one `verify_*_reduction` call share their generator
-    list); the integer forms are dropped when the call returns."""
-    token = _shared_forms.set({})
-    try:
-        # iterating a list keeps every generator alive, so no id is reused
-        return [cert.success and cert.verify() for cert in list(certs)]
-    finally:
-        _shared_forms.reset(token)
+    """Whether each certificate holds, by exact re-substitution in
+    integers: target - sum c_i g_i == 0 times L, the lcm of the
+    denominators of the target and of each c_i g_i, word by word.
+
+    A failed certificate, or a coefficient list of the wrong length,
+    fails; an inexact coefficient, zero or not, raises TypeError, and a
+    target or used generator that carries t raises ValueError.  Each
+    generator is converted to integers once however many certificates
+    share it (as all certificates from one `certify_relations` call share
+    their generator list)."""
+    forms = {}  # id(generator) -> integer form
+    oks = []
+    # iterating a list keeps every generator alive, so no id is reused
+    for cert in list(certs):
+        if cert.coefficients is None or len(cert.coefficients) != len(cert.generators):
+            oks.append(False)
+            continue
+        used = [(-1, *_integer_form(cert.target))]  # the target, with coefficient -1
+        for c, g in zip(cert.coefficients, cert.generators):
+            # `is` skips the solver's zeros without a call
+            if c is not _ZERO and _as_exact(c):
+                if id(g) not in forms:
+                    forms[id(g)] = _integer_form(g)
+                used.append((c, *forms[id(g)]))
+        common = lcm(*(c.denominator * d for c, d, _ in used))
+        acc = {}
+        for c, d, vec in used:
+            _subtract(acc, c.numerator * (common // (c.denominator * d)), vec)
+        oks.append(not acc)
+    return oks
 
 
 def span_membership(target, generators, label=""):
@@ -217,7 +203,7 @@ def span_membership(target, generators, label=""):
     return RelationCertificate(as_sum(target), list(generators), coeffs, label)
 
 
-def _certify(suite, relations, alpha):
+def certify_relations(suite, relations, alpha):
     """Certify, power by power in (t - alpha), that each Taylor coefficient
     of each relation lies in the span of the relations evaluated at t = alpha.
 
@@ -272,10 +258,10 @@ def verify_sf_reduction(k, alpha=0):
     """Certify, coefficient by coefficient in (t - alpha), that the
     weight-k sum-family identity reduces to the depth-graded generators
     evaluated at alpha.  Returns one certificate per (depth, power)."""
-    return _certify("sum-formula", sum_formula_relations(k), alpha)
+    return certify_relations("sum-formula", sum_formula_relations(k), alpha)
 
 
 def verify_csf_reduction(k, alpha=0):
     """Certify that each cyclic generator of weight k reduces, power by
     power in (t - alpha), to the span of the generators' values at alpha."""
-    return _certify("cyclic", cyclic_relations(k), alpha)
+    return certify_relations("cyclic", cyclic_relations(k), alpha)

@@ -101,6 +101,18 @@ def test_bools_are_neither_coefficients_nor_powers():
             build()
     with pytest.raises(ValueError, match="nonnegative integer power required"):
         pow(T, True)
+    # a bool is no scalar either, from either side
+    x = FormalSum.from_word(Word((2,)))
+    for product in (
+        lambda: T * True,
+        lambda: True * T,
+        lambda: T * False,
+        lambda: x * True,
+        lambda: False * x,
+        lambda: FormalSum.zero() * True,
+    ):
+        with pytest.raises(TypeError):
+            product()
     for b in (True, False):
         assert (RatPoly(int(b)) == b) is False
         assert RatPoly(int(b)) != b

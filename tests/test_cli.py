@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import izeta.cli as cli
+import izeta.reduction as reduction
 from izeta.algebra import FormalSum, Index, Word, parse_formal_sum, t_harmonic_product
 from izeta.interpolate import s_t
 from izeta.numeric import eval_element, mzsv
@@ -128,7 +129,7 @@ def test_verify_two_one(capsys):
 
 def test_failed_suite_exits_one(capsys, monkeypatch):
     forced = [RelationCertificate(w(2), [w(3)], None, label="forced")]
-    monkeypatch.setattr(cli, "verify_sf_reduction", lambda k: forced)
+    monkeypatch.setattr(cli, "certify_relations", lambda *args: forced)
     code, out, _ = run_lines(capsys, ["verify", "sum-formula", "--k", "3"])
     assert code == 1
     assert any("FAIL" in line for line in out)
@@ -160,11 +161,10 @@ def test_malformed_rational_exits_two(capsys):
 
 @pytest.mark.parametrize("suite", ["sum-formula", "cyclic"])
 def test_malformed_t_exits_two_before_any_certificate(capsys, monkeypatch, suite):
-    def certify(k):
+    def certify(*args):
         raise AssertionError("a certificate was built")
 
-    monkeypatch.setattr(cli, "verify_sf_reduction", certify)
-    monkeypatch.setattr(cli, "verify_csf_reduction", certify)
+    monkeypatch.setattr(cli, "certify_relations", certify)
     code, out, err = run_lines(capsys, ["verify", suite, "--k", "9", "--numeric", "--t", "x"])
     assert code == 2 and not out
     assert "malformed rational" in err
@@ -172,11 +172,10 @@ def test_malformed_t_exits_two_before_any_certificate(capsys, monkeypatch, suite
 
 @pytest.mark.parametrize("suite", ["sum-formula", "cyclic"])
 def test_bad_M_exits_two_before_any_certificate(capsys, monkeypatch, suite):
-    def certify(k):
+    def certify(*args):
         raise AssertionError("a certificate was built")
 
-    monkeypatch.setattr(cli, "verify_sf_reduction", certify)
-    monkeypatch.setattr(cli, "verify_csf_reduction", certify)
+    monkeypatch.setattr(cli, "certify_relations", certify)
     # M = 3 is below the depth of the deeper weight-9 words only
     for m in ("0", "3"):
         argv = ["verify", suite, "--k", "9", "--numeric", "--M", m]
@@ -190,7 +189,7 @@ def test_weight_below_two_exits_two_before_any_side(capsys, monkeypatch, suite):
     def build(*args):
         raise AssertionError("a side or certificate was built")
 
-    for name in ("verify_sf_reduction", "verify_csf_reduction", "verify_identity"):
+    for name in ("certify_relations", "verify_identity"):
         monkeypatch.setattr(cli, name, build)
     for k in ("-1", "0", "1"):
         code, out, err = run_lines(capsys, ["verify", suite, "--k", k, "--numeric"])
@@ -297,13 +296,33 @@ def test_certificate_output_is_pinned_byte_for_byte(capsys, argv):
 
 def test_each_certificate_is_verified_once(capsys, monkeypatch):
     calls = []
-    verify = RelationCertificate.verify
-    monkeypatch.setattr(
-        RelationCertificate, "verify", lambda self: calls.append(self) or verify(self)
-    )
+    verify = reduction.verify_certificates
+
+    def spy(certs):
+        certs = list(certs)
+        calls.extend(certs)
+        return verify(certs)
+
+    # every route to the verifier: the cli's name and RelationCertificate.verify
+    monkeypatch.setattr(cli, "verify_certificates", spy)
+    monkeypatch.setattr(reduction, "verify_certificates", spy)
     code, out, _ = run_lines(capsys, ["verify", "cyclic", "--k", "4"])
     assert code == 0
     assert len(calls) == len(out) - 1 == len({id(c) for c in calls})
+
+
+@pytest.mark.parametrize("suite, k, relations", [("sum-formula", "7", 6), ("cyclic", "5", 15)])
+def test_numeric_builds_each_relation_once(capsys, monkeypatch, suite, k, relations):
+    calls = []
+    for name in ("sum_formula_sides", "cyclic_sides"):
+        build = getattr(reduction, name)
+        monkeypatch.setattr(
+            reduction, name, lambda *args, build=build: calls.append(args) or build(*args)
+        )
+    code, out, _ = run_lines(capsys, ["verify", suite, "--k", k, "--numeric"])
+    assert code == 0
+    # one line per numeric check follows the certificates and their summary
+    assert len(calls) == relations == sum(" t=" in line for line in out)
 
 
 _CLI_UNDER_SIGNALS = """
@@ -367,7 +386,7 @@ def test_malformed_t_exits_two_without_numeric(capsys, monkeypatch):
     def build(*args):
         raise AssertionError("a side or certificate was built")
 
-    for name in ("verify_sf_reduction", "verify_csf_reduction", "sum_formula_relations"):
+    for name in ("certify_relations", "sum_formula_relations"):
         monkeypatch.setattr(cli, name, build)
     code, out, err = run_lines(capsys, ["verify", "sum-formula", "--k", "3", "--t", "x"])
     assert code == 2 and not out

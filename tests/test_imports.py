@@ -1,6 +1,7 @@
 """Every name a package or test module imports is used in that module, the
-unchecked constructors of `algebra` stay out of the command line, and the
-command line imports no private name of the package."""
+unchecked constructors of `algebra` stay out of the command line, the
+command line imports no private name of the package, and the package
+keeps no hidden state."""
 
 import ast
 from pathlib import Path
@@ -196,6 +197,55 @@ def test_the_checker_sees_a_planted_dead_helper():
         "b": "from .a import _used\n_used()\n",
     }
     assert unread_private_names(planted) == ["a:_recursive", "a:_Dead", "a:_unread"]
+
+
+# Modules whose state is invisible at a call site: a context variable or a
+# thread-local is read by code that the caller never passed it to.
+HIDDEN_STATE_MODULES = {"contextvars", "threading"}
+
+
+def hidden_state(source):
+    """(line, what) of each absolute import of a HIDDEN_STATE_MODULES
+    module, and of each `global` or `nonlocal` statement."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            found.add((node.lineno, type(node).__name__.lower()))
+        elif isinstance(node, ast.Import):
+            found |= {(node.lineno, a.name.split(".")[0]) for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            found.add((node.lineno, node.module.split(".")[0]))
+    hidden = HIDDEN_STATE_MODULES | {"global", "nonlocal"}
+    return sorted((line, what) for line, what in found if what in hidden)
+
+
+def test_the_checker_sees_planted_hidden_state():
+    planted = (
+        "import contextvars\n"
+        "from threading import local\n"
+        "import os, threading.local as tl\n"
+        "_n = 0\n"
+        "def bump():\n    global _n\n    _n += 1\n"
+        "def outer():\n    x = 0\n    def inner():\n        nonlocal x\n"
+    )
+    assert hidden_state(planted) == [
+        (1, "contextvars"),
+        (2, "threading"),
+        (3, "threading"),
+        (6, "global"),
+        (11, "nonlocal"),
+    ]
+    assert hidden_state("from .threading import x\nimport os\n_memo = {}\n") == []
+
+
+def test_the_package_keeps_no_hidden_state():
+    # the memo caches stay the package's only module-level state
+    found = {
+        p.name: hits
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (hits := hidden_state(p.read_text()))
+    }
+    assert found == {}
 
 
 def test_every_private_name_of_the_package_is_read():

@@ -153,6 +153,28 @@ def test_verify_identity_reports_per_sample_residuals():
         assert check.tol <= check.lhs.err + check.rhs.err + 1e-18
 
 
+def test_verify_identity_takes_only_exact_samples():
+    e = FormalSum.from_word(Word((2,)))
+    assert verify_identity(e, e, [Fraction(1, 3), 1], M_SMALL).ok
+    for sample in (0.1, "1/3", True):
+        with pytest.raises(TypeError, match="exact rational coefficient required"):
+            verify_identity(e, e, [Fraction(1, 2), sample], M_SMALL)
+
+
+def test_a_truncation_M_that_is_no_int_is_refused():
+    e = FormalSum.from_word(Word((2, 1)))
+    for M in (2.9, True, Fraction(7, 2), 3.0):
+        for value in (
+            lambda: mzv((2,), M),
+            lambda: mzsv(Index((2, 1)), M),
+            lambda: eval_element(e, Fraction(1, 2), M),
+            lambda: eval_element(FormalSum.zero(), 0, M),
+        ):
+            with pytest.raises(ValueError) as info:
+                value()
+            assert str(info.value) == f"truncation M must be an integer, got {M}"
+
+
 def test_num_result_renders_value_error_and_cutoff():
     r = mzv(Index((2,)), M_SMALL)
     text = str(r)

@@ -61,6 +61,8 @@ def test_rejects_targets_that_still_carry_t():
         span_membership(T * w(2), [w(2)])
     with pytest.raises(ValueError):
         span_membership(w(2), [T * w(2)])
+    with pytest.raises(ValueError, match="reduction inputs must be t-free"):
+        RelationCertificate(T * w(2), [w(2)], [1]).verify()
 
 
 def test_mixed_combination_recovered():
