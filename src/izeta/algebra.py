@@ -552,6 +552,10 @@ def t_harmonic_product(e1, e2):
 # text round-trip
 
 def parse_word(text):
+    """The Word written as comma-separated letters, such as "2,1,1" (the
+    form `str(Word)` prints); spaces around letters are ignored, and blank
+    text is the empty word.  Raises ValueError for a letter that is not an
+    integer or is below 1."""
     s = text.strip()
     if not s:
         return Word()
@@ -562,6 +566,10 @@ def parse_word(text):
 
 
 def parse_index(text):
+    """The Index written as comma-separated parts, such as "2,1"; spaces
+    around parts are ignored.  Raises ValueError for blank text, or for a
+    part that is not an integer or is below 1.  Admissibility is not
+    checked here."""
     s = text.strip()
     if not s:
         raise ValueError("index must be nonempty")
@@ -577,6 +585,11 @@ _POLY_TERM_RE = re.compile(
 
 
 def parse_ratpoly(text):
+    """The RatPoly written as terms joined by + and -, such as
+    "1 - 2/3*t^2" (the form `str(RatPoly)` prints): a term is c, t^e, c*t^e
+    or ct^e, with c an integer or p/q, e a nonnegative integer, and t for
+    t^1.  Raises ValueError for blank text or a malformed term, and
+    ZeroDivisionError for a coefficient with denominator 0."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial")
@@ -601,6 +614,10 @@ _SUM_TERM_RE = re.compile(r"\(([^()]*)\)\*\[([0-9, ]*)\]")
 
 
 def parse_formal_sum(text):
+    """The FormalSum written as "0" or as terms (p)*[w] joined by " + ",
+    with p read by `parse_ratpoly` and w by `parse_word` (the form
+    `str(FormalSum)` prints).  Raises ValueError for text that is not of
+    that form, and whatever those two parsers raise for a term."""
     s = text.strip()
     if s == "0":
         return FormalSum.zero()

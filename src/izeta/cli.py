@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -39,7 +40,27 @@ _PRODUCTS = {
 }
 
 
+# the shapes `Fraction` reads, stripped and without underscores: p/q, or a
+# decimal with an optional exponent, whose leading zeros are skipped
+_RATIONAL = re.compile(r"[-+]?(\d*)(?:/(\d+)|(?:\.(\d*))?(?:[eE]([-+]?)0*(\d+))?)")
+
+
 def _fraction(text):
+    """The exact rational written as p/q or as a decimal (1/2, -2/3, 0.5,
+    1e-3); raises ValueError if it is malformed, has a zero denominator,
+    or has a numerator or denominator, as written, with more digits than
+    Python will print (`sys.get_int_max_str_digits()`).  The digits are
+    counted on the text, so a huge exponent is refused without computing
+    10**exp."""
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if m := _RATIONAL.fullmatch(text.strip().replace("_", "")):
+        whole, den, decimals, sign, exp = m.groups(default="")
+        # cut to one digit more than the limit has, the exponent keeps its
+        # sign and whether it is over the limit
+        x = int(sign + exp[: len(str(limit)) + 1] or 0)
+        num = len(whole + decimals) + max(x, 0)
+        if max(num, len(den), len(decimals) - min(x, 0) + 1) > limit:
+            raise ValueError(f"rational too long: more than {limit} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -12,10 +12,12 @@ head of each word, memoised on the tail u (Hoffman, *Quasi-shuffle
 products*, J. Algebraic Combin. 11 (2000)).  Its 2^(n-1) words are
 distinct, and the memo keeps just those words: a contraction u of w
 carries t^sigma with sigma = len(w) - len(u), its number of merges.  So
-`s_t`, `s_poly` and `s_alpha` only shift degrees or multiply by
-alpha^sigma; `s_alpha` does so in integers over one common denominator.
-Results are built with the trusted constructors of `algebra` from the
-validated input.  `enumerate_contractions` reads the same expansion as
+`s_t` only shifts degrees, and `s_alpha` multiplies by alpha^sigma in
+integers over one common denominator; `s_poly` is each word's `s_t` image
+with a polynomial put in for t.  `taylor_shift` splits a sum by degree in
+t and re-expands the split about alpha by Horner's rule.  Results are
+built with the trusted constructors of `algebra` from the validated
+input.  `enumerate_contractions` reads the same expansion as
 explicit patterns, and so do `identities.words_of_weight`,
 `identities.sum_words` and `numeric.mzsv`.
 """
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import comb
 
 from .algebra import (
     FormalSum,
@@ -40,6 +41,7 @@ from .algebra import (
     _word,
     as_sum,
     substitute_t,
+    word_linear,
 )
 
 
@@ -102,20 +104,11 @@ def _s_t_word(w: Word) -> tuple[Word, ...]:
 
 def s_poly(e, param):
     """Apply the operator with its parameter replaced by the polynomial
-    `param`; Q[t]-linear, so existing coefficients are left alone."""
+    `param`; Q[t]-linear, so existing coefficients are left alone: each
+    word's `s_t` image with `param` put in for t, times the word's own
+    coefficient."""
     param = RatPoly(param)
-    powers = [RatPoly(1)]  # param^0, param^1, ..., grown on demand
-    out = {}
-    for w, c in as_sum(e).terms.items():
-        for u in _s_t_word(w):
-            # u carries t^sigma, sigma its merges; replace it by param^sigma
-            sigma = len(w) - len(u)
-            while len(powers) <= sigma:
-                powers.append(powers[-1] * param)
-            p = c * powers[sigma]
-            q = out.get(u)
-            out[u] = p if q is None else q + p
-    return FormalSum(out)
+    return word_linear(lambda w: s_t(w).map_coefficients(lambda p: p.compose(param)), e)
 
 
 def s_t(e):
@@ -183,25 +176,25 @@ def taylor_shift(e, alpha):
 
     Returns the t-free formal sums a_0, ..., a_d, d the largest degree
     in t of a coefficient of e (just a_0 = 0 for e = 0), with
-    a_k = (d/dt)^k e |_{t=alpha} / k!.  Each term c_j t^j re-expands once
-    by the binomial theorem, a_k = sum_j c_j C(j, k) alpha^(j-k); at
-    alpha = 0 this splits e by degree.
+    a_k = (d/dt)^k e |_{t=alpha} / k!.  Splitting e by degree into the
+    t-free parts P_0, ..., P_d gives the answer at alpha = 0.  Any other
+    alpha re-expands the split by Horner's rule on the plain
+    {Word: coefficient} parts: for i < d, and j from d - 1 down to i,
+    P_j += alpha P_(j+1).  Zeros are dropped once, at the end.
     """
     alpha = _as_exact(alpha)
     e = as_sum(e)
-    degree = max((p.degree for p in e.terms.values()), default=0)
+    degree = max((poly.degree for poly in e.terms.values()), default=0)
     parts = [{} for _ in range(degree + 1)]
-    for w, p in e.terms.items():
-        for j, c in p.coeffs.items():
-            if not alpha:
-                parts[j][w] = c
-                continue
-            for k in range(j + 1):
-                part = parts[k]
-                part[w] = part.get(w, 0) + c * comb(j, k) * alpha ** (j - k)
-    return [
-        _normal_sum({w: _poly({0: c}) for w, c in part.items() if c}) for part in parts
-    ]
+    for w, poly in e.terms.items():
+        for j, c in poly.coeffs.items():
+            parts[j][w] = c
+    if alpha:
+        for i in range(degree):
+            for j in range(degree - 1, i - 1, -1):
+                for w, c in parts[j + 1].items():
+                    parts[j][w] = parts[j].get(w, 0) + alpha * c
+    return [_normal_sum({w: _poly({0: c}) for w, c in p.items() if c}) for p in parts]
 
 
 def index_expansions(idx):

@@ -208,8 +208,9 @@ def mzsv(idx, M):
 
 
 def eval_element(e, alpha, M):
-    """Evaluate a formal sum of admissible words: substitute t = alpha in
-    the coefficients, then sum coefficient * zeta(word) over the terms.
+    """Evaluate a formal sum of admissible words, the empty word (value 1)
+    among them: substitute t = alpha in the coefficients, then sum
+    coefficient * zeta(word) over the terms.
 
     The coefficients at alpha are integers over one common denominator,
     so the sum is exact until the one final rounding, and the error bound
@@ -221,7 +222,7 @@ def eval_element(e, alpha, M):
     for w, (c,) in zip(e.terms, values):
         if not c:  # the coefficient vanishes at alpha
             continue
-        if not w or w[0] < 2:
+        if w and w[0] < 2:
             raise ValueError(f"divergent term: word [{w}]")
         _check_truncation(M, w.depth)
         coeffs[w] = c

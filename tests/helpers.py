@@ -5,9 +5,11 @@ the package's own FormalSum/RatPoly layers, so that a bug in the symbolic
 machinery cannot hide inside its own oracle.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from izeta.algebra import FormalSum, RatPoly, Word
 
@@ -205,3 +207,76 @@ def star_fillings(parts):
         out.append(((head,) + tail, merges))
         out.append(((head + tail[0],) + tail[1:], merges + 1))
     return out
+
+
+def _add(out, word, c):
+    """out[word] += c on a plain dict, dropping the word if it cancels."""
+    c += out.get(word, 0)
+    if c:
+        out[word] = c
+    else:
+        out.pop(word, None)
+
+
+@lru_cache(maxsize=None)
+def classical_cyclic(v):
+    """g(v) = Sigma v - C v, the classical cyclic sum formula of Hoffman
+    and Ohno for a letter tuple v, as {letter tuple: int}: over every
+    rotation r of v, each split of its head, (r1 + 1 - j, r2, ..., j) for
+    1 <= j < r1, minus the raised head, (r1 + 1, r2, ...)."""
+    out = {}
+    for i in range(len(v)):
+        r = v[i:] + v[:i]
+        for j in range(1, r[0]):
+            _add(out, (r[0] + 1 - j,) + r[1:] + (j,), 1)
+        _add(out, (r[0] + 1,) + r[1:], -1)
+    return out
+
+
+def cyclic_merges(w, j):
+    """The C(n, j) words from merging j of the n cyclic gaps of the letter
+    tuple w (gap i follows letter i, and gap n - 1 joins the last letter to
+    the first), for j < n.  Each is read from the first letter that starts
+    a block, so a merge across the last gap gives a rotation of the word
+    read from letter 0."""
+    n = len(w)
+    out = []
+    for merged in combinations(range(n), j):
+        start = next(i for i in range(n) if (i - 1) % n not in merged)
+        blocks = []
+        for i in range(start, start + n):
+            if blocks and (i - 1) % n in merged:
+                blocks[-1] += w[i % n]
+            else:
+                blocks.append(w[i % n])
+        out.append(tuple(blocks))
+    return out
+
+
+def cyclic_relation_parts(w, alpha):
+    """Closed form of the parts in (t - alpha)^0, ..., (t - alpha)^n of the
+    interpolated cyclic relation S^t(Sigma w) - (1 - t) S^t(C w)
+    - k t^n z_(k+1) of a letter tuple w of depth n and weight k > n, as
+    {letter tuple: Fraction} dicts.
+
+    Its t^j part P_j is the sum of g(v) over the words v of
+    `cyclic_merges(w, j)` for j < n, and P_n = 0 (Yamamoto's reduction to
+    the classical formula); the (t - alpha)^m part is
+    sum_j C(j, m) alpha^(j - m) P_j."""
+    n = len(w)
+    powers = []
+    for j in range(n):
+        part = {}
+        for v, count in Counter(cyclic_merges(w, j)).items():
+            for u, c in classical_cyclic(v).items():
+                _add(part, u, count * c)
+        powers.append(part)
+    shifted = []
+    for m in range(n + 1):
+        part = {}
+        for j in range(m, n):
+            scale = comb(j, m) * alpha ** (j - m)  # 0^0 = 1
+            for u, c in powers[j].items() if scale else ():
+                _add(part, u, scale * c)
+        shifted.append(part)
+    return shifted

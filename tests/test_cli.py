@@ -393,6 +393,34 @@ def test_malformed_t_exits_two_without_numeric(capsys, monkeypatch):
     assert err == "error: malformed rational 'x' (write p/q)\n"
 
 
+@pytest.mark.parametrize(
+    "t", ["1e5000", "-1e-5000", "0." + "0" * 5000 + "1", "1e1000000"],
+    ids=["1e5000", "-1e-5000", "0.0...01", "1e1000000"],
+)
+@pytest.mark.parametrize(
+    "argv", [["eval", "--index", "2,1"], ["verify", "cyclic", "--k", "3", "--numeric"]]
+)
+def test_a_t_too_long_to_print_exits_two_before_any_work(capsys, monkeypatch, argv, t):
+    def work(*args):
+        raise AssertionError("an evaluation or a certificate was reached")
+
+    for name in ("eval_element", "verify_identity", "certify_relations"):
+        monkeypatch.setattr(cli, name, work)
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    code, out, err = run_lines(capsys, argv + ["--t", t])
+    assert code == 2 and not out
+    assert f"rational too long: more than {limit} digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("t", ["1/2", "-2/3", "0.5", "1e-3", "1e4299", "1e-4299"])
+def test_a_t_within_the_digit_limit_still_parses(capsys, t):
+    for argv in (["--t", t], [f"--t={t}"]):
+        code, out, err = run_lines(capsys, ["eval", "--index", "2", "--M", "3"] + argv)
+        assert code == 0 and not err
+        assert out[0].startswith(f"zeta^t(2) at t={Fraction(t)}, M=3: ")
+
+
 def test_alt_sum_refuses_an_empty_word(capsys):
     code, out, err = run_lines(capsys, ["verify", "alt-sum", "--word", ""])
     assert code == 2 and not out

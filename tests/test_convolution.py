@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from izeta.algebra import FormalSum, Index, Word
+from izeta.algebra import FormalSum, Index, Word, harmonic_product
 from izeta.numeric import _tail_bound, eval_element, mzsv, mzv
 
 from helpers import admissible_tuples, truncated_checkpoints as _checkpoints
@@ -31,6 +31,23 @@ CLOSED_FORMS = [
 def test_closed_forms_lie_inside_a_tight_proved_bound(fn, parts, reference):
     r = fn(Index(parts), 10**6)
     assert abs(mpmath.mpf(r.value) - reference) <= r.err <= 1e-14 * abs(r.value)
+
+
+def test_a_sum_holding_the_unit_word_evaluates():
+    # zeta of the empty word is 1, so the factor 1 + z_2 of the stuffle
+    # check zeta((1 + z_2) * z_3) = zeta(1 + z_2) zeta(z_3) evaluates too
+    unit = FormalSum.unit()
+    z2, z3 = FormalSum.from_word(Word((2,))), FormalSum.from_word(Word((3,)))
+    half = Fraction(1, 2)
+    for e, reference in [
+        (unit, 1),
+        (unit + z2, 1 + zeta(2)),
+        (harmonic_product(unit + z2, z3), (1 + zeta(2)) * zeta(3)),
+    ]:
+        r = eval_element(e, half, 100)
+        assert abs(mpmath.mpf(r.value) - reference) <= r.err <= 1e-14, e
+    with pytest.raises(ValueError, match=r"divergent term: word \[1,2\]"):
+        eval_element(FormalSum.from_word(Word((1, 2))), half, 100)
 
 
 @pytest.mark.parametrize("fn, parts, reference", CLOSED_FORMS)

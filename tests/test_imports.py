@@ -1,9 +1,10 @@
 """Every name a package or test module imports is used in that module, the
 unchecked constructors of `algebra` stay out of the command line, the
-command line imports no private name of the package, and the package
-keeps no hidden state."""
+command line imports no private name of the package, the package keeps no
+hidden state, and every public function and class is documented."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import izeta
@@ -252,3 +253,45 @@ def test_every_private_name_of_the_package_is_read():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert sum(len(private_definitions(s)) for s in sources.values()) > 0
     assert unread_private_names(sources) == []
+
+
+def undocumented(source, names):
+    """(line, name) of each module-level function or class of `source`
+    named in `names` that has no docstring of its own."""
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in names
+        and not (ast.get_docstring(node) or "").strip()
+    )
+
+
+def test_the_checker_sees_an_undocumented_public_name():
+    planted = (
+        "def shown():\n    return 1\n"
+        "def told():\n    \"\"\"Says so.\"\"\"\n"
+        "class Bare:\n    def method(self):\n        \"\"\"Not the class's own.\"\"\"\n"
+        "def blank():\n    \"\"\"  \"\"\"\n"
+        "def hidden():\n    pass\n"
+        "class Told:\n    \"\"\"Says so.\"\"\"\n"
+    )
+    names = {"shown", "told", "Bare", "blank", "Told"}
+    assert undocumented(planted, names) == [(1, "shown"), (5, "Bare"), (8, "blank")]
+
+
+def test_every_public_function_and_class_has_a_docstring():
+    public = {
+        name
+        for name in izeta.__all__
+        if inspect.isfunction(obj := getattr(izeta, name)) or inspect.isclass(obj)
+    }
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    defined = {
+        node.name
+        for source in sources
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert public and public <= defined  # no public name escapes the check
+    assert [hit for source in sources for hit in undocumented(source, public)] == []

@@ -266,6 +266,33 @@ def brute_substitute(terms, alpha):
     return {word: c for word, c in out.items() if c}
 
 
+def _poly_mul(p, q):
+    """Product of two {t exponent: coefficient} dicts, zeros dropped."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def brute_s_poly(terms, param):
+    """Sum of c(t) param(t)^sigma over every contraction of every term of
+    {letter tuple: {t exponent: coefficient}}, param a {t exponent:
+    coefficient} dict; {letter tuple: {t exponent: coefficient}}."""
+    out = {}
+    for letters, poly in terms.items():
+        for word, merges in brute_contractions(letters).items():
+            acc = out.setdefault(word, {})
+            for sigma, mult in merges.items():
+                power = {0: mult}
+                for _ in range(sigma):
+                    power = _poly_mul(power, param)
+                for e, c in _poly_mul(poly, power).items():
+                    acc[e] = acc.get(e, 0) + c
+    out = {word: {e: c for e, c in p.items() if c} for word, p in out.items()}
+    return {word: p for word, p in out.items() if p}
+
+
 def single_merges(terms):
     """The single-merge operator on {letter tuple: coefficient}."""
     out = {}
@@ -298,6 +325,24 @@ def test_operator_on_every_word_up_to_weight_9_matches_brute_force():
 
 
 ALPHAS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 5)]
+
+
+@pytest.mark.parametrize(
+    "param",
+    [{0: 1, 1: -1}, {2: 1}, {0: Fraction(3, 2)}, {}],
+    ids=["1-t", "t^2", "3/2", "0"],
+)
+def test_s_poly_matches_brute_force(param):
+    # coefficients in t, so existing degrees and the parameter's mix; the
+    # whole sum also lets images of different words meet and cancel
+    terms = {}
+    for i, word in enumerate(words_up_to_weight(7)):
+        poly = {0: Fraction(i % 5 - 2, 3), 1: i % 3 - 1, 2: Fraction(1, i + 1)}
+        terms[word.letters] = {e: c for e, c in poly.items() if c}
+    for chunk in [{letters: poly} for letters, poly in terms.items()] + [terms]:
+        got = s_poly(dictpoly_to_sum(chunk), RatPoly(param))
+        assert_normal_form(got)
+        assert as_dicts(got) == brute_s_poly(chunk, param)
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

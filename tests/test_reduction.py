@@ -19,7 +19,7 @@ from izeta.reduction import (
     verify_sf_reduction,
 )
 
-from helpers import words_up_to_weight
+from helpers import cyclic_merges, cyclic_relation_parts, words_up_to_weight
 
 
 def w(*letters):
@@ -189,6 +189,69 @@ def test_sum_formula_certificates_follow_the_closed_form(k):
         if n - j >= 2:
             expected[n - j - 1] = comb(k - n + j - 1, j)
         assert cert.coefficients == expected, cert.label
+
+
+def _cyclic_label(cert):
+    """(k, word as a letter tuple, power) from a cyclic certificate label."""
+    fields = dict(part.split("=") for part in cert.label.split()[1:])
+    word = tuple(int(x) for x in fields["word"].split(","))
+    return int(fields["k"]), word, int(fields["power"])
+
+
+@pytest.mark.parametrize(
+    "k, alpha",
+    [(k, 0) for k in range(2, 10)]
+    + [(k, alpha) for alpha in (Fraction(1, 2), 1) for k in range(2, 8)],
+)
+def test_cyclic_certificate_targets_follow_the_closed_form(k, alpha):
+    # The t^j part of a word's relation is the classical formula summed over
+    # the merges of j of its cyclic gaps; the (t - alpha)^m parts re-expand
+    # those by the binomial theorem.  The oracle reads no S^t and no solver.
+    certs = verify_csf_reduction(k, alpha)
+    expected = {}
+    for cert in certs:
+        k_seen, word, power = _cyclic_label(cert)
+        assert k_seen == k and cert.target.is_t_free(), cert.label
+        if word not in expected:
+            expected[word] = cyclic_relation_parts(word, alpha)
+        found = {tuple(u): p.constant() for u, p in cert.target.terms.items()}
+        assert found == expected[word][power], cert.label
+    assert sum(len(word) + 1 for word in expected) == len(certs)
+    assert len(expected) == 2 ** (k - 1) - 1
+
+
+@pytest.mark.parametrize("k", range(3, 8))
+def test_verify_accepts_the_closed_form_cyclic_coefficients(k):
+    # At alpha = 0, generator i is the classical formula g(v_i) of the i-th
+    # relation's word, so the t^j part of w's relation is the sum of the
+    # generators of its merged words, one each.  Moving one unit to a word
+    # of another rotation class must fail: distinct classes are independent.
+    certs = verify_csf_reduction(k)
+    gens = certs[0].generators
+    words = []
+    for cert in certs:
+        _, word, power = _cyclic_label(cert)
+        if power == 0:
+            words.append(word)
+    index = {v: i for i, v in enumerate(words)}
+    classes = [frozenset(v[i:] + v[:i] for i in range(len(v))) for v in words]
+    closed, moved = [], []
+    for cert in certs:
+        _, word, power = _cyclic_label(cert)
+        merges = cyclic_merges(word, power) if power < len(word) else []
+        coeffs = [Fraction(0)] * len(gens)
+        for v in merges:
+            coeffs[index[v]] += 1
+        closed.append(RelationCertificate(cert.target, gens, coeffs, cert.label))
+        if merges:
+            i = index[merges[0]]
+            other = next(j for j, c in enumerate(classes) if c != classes[i])
+            bad = list(coeffs)
+            bad[i] -= 1
+            bad[other] += 1
+            moved.append(RelationCertificate(cert.target, gens, bad, cert.label))
+    assert all(verify_certificates(closed))
+    assert moved and not any(verify_certificates(moved))
 
 
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-2, 3)])
