@@ -588,8 +588,8 @@ def parse_ratpoly(text):
     """The RatPoly written as terms joined by + and -, such as
     "1 - 2/3*t^2" (the form `str(RatPoly)` prints): a term is c, t^e, c*t^e
     or ct^e, with c an integer or p/q, e a nonnegative integer, and t for
-    t^1.  Raises ValueError for blank text or a malformed term, and
-    ZeroDivisionError for a coefficient with denominator 0."""
+    t^1.  Raises ValueError for blank text, a malformed term, or a
+    coefficient with denominator 0."""
     s = text.strip()
     if not s:
         raise ValueError("empty polynomial")
@@ -603,7 +603,10 @@ def parse_ratpoly(text):
         m = _POLY_TERM_RE.match(term)
         if not m or (m["c"] is None and m["t"] is None):
             raise ValueError(f"malformed polynomial term {term!r}")
-        c = Fraction(m["c"]) if m["c"] is not None else Fraction(1)
+        try:
+            c = Fraction(m["c"] or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in polynomial term {term!r}") from None
         e = 0 if m["t"] is None else (int(m["e"]) if m["e"] else 1)
         sign = -1 if sign_tok == "-" else 1
         coeffs[e] = coeffs.get(e, 0) + sign * c

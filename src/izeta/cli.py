@@ -151,13 +151,17 @@ def _cmd_verify_reduction(args):
     t = _fraction(args.t)
     relations = args.relations(args.k)
     # Under --numeric each identity's sides are built once, for both
-    # checks, and evaluated as they are built, before any certificate, so
-    # the evaluator rejects a bad --M at the first side too deep for it.
-    # Without it the relations stay lazy: no side outlives its Taylor shift.
-    reports, built = [], []
-    for label, sides, powers in relations if args.numeric else ():
-        reports.append((label, verify_identity(*sides, [t], args.M)))
-        built.append((label, sides, powers))
+    # checks, and evaluated once per relation key as they are built, before
+    # any certificate, so the evaluator rejects a bad --M at the first side
+    # too deep for it.  Without it the relations stay lazy: no side
+    # outlives its Taylor shift.
+    reports, built, by_key = [], [], {}
+    for relation in relations if args.numeric else ():
+        label, sides, _, key = relation
+        if key not in by_key:
+            by_key[key] = verify_identity(*sides, [t], args.M)
+        reports.append((label, by_key[key]))
+        built.append(relation)
     certs = certify_relations(args.suite, built if args.numeric else relations, 0)
     oks = verify_certificates(certs)
     ok = all(oks)

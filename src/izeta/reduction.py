@@ -12,6 +12,14 @@ each certificate in the same integers, word by word, from its own
 target, generators and coefficients.  A failed membership is a value
 (certificate with no coefficients), not an error, so callers can report
 exactly which component fell outside the span.
+
+Each relation carries a key for the identity it states: the depth n in
+the sum formula, and in the cyclic suite the least rotation of the word,
+since the cyclic sum formula sums over all rotations.  Relations with one
+key are shifted and solved once: their certificates keep their own
+labels but share the target and coefficient-list objects, and every
+certificate of one call shares one generator list.  The verifier and the
+JSON records do each shared object's work once.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from math import gcd, lcm
 from operator import sub
 
 from .algebra import FormalSum, _as_exact, as_sum
-from .identities import cyclic_sides, sum_formula_sides, words_of_weight
+from .identities import _rotations, cyclic_sides, sum_formula_sides, words_of_weight
 from .interpolate import taylor_shift
 
 
@@ -99,7 +107,11 @@ class SpanSolver:
     def __init__(self, generators):
         self.generators = list(generators)
         self._pivots = {}  # Word -> (vec, combo)
+        reduced = set()  # ids of objects self.generators keeps alive
         for i, g in enumerate(self.generators):
+            if id(g) in reduced:
+                continue  # a repeat reduces to zero against the rows
+            reduced.add(id(g))
             den, vec = _integer_form(g)
             vec, combo = self._reduce(vec, {i: den})
             if vec:
@@ -143,21 +155,26 @@ class SpanSolver:
 def certificate_records(certs):
     """The machine-readable dict of each certificate (label, target,
     generators, coefficients as p/q strings or "FAILURE", success),
-    rendering a generator list once however many certificates share it
-    (as all certificates from one `certify_relations` call do)."""
-    rendered = {}
+    rendering a generator list or a coefficient list once however many
+    certificates share it (as all certificates from one
+    `certify_relations` call share their generators, and those of one
+    relation key their coefficients)."""
+    rendered = {}  # id of a generator or coefficient list -> its strings
     records = []
-    for cert in certs:
-        key = id(cert.generators)
-        if key not in rendered:
-            rendered[key] = [str(g) for g in cert.generators]
+    # iterating a list keeps every certificate alive, so no id is reused
+    for cert in list(certs):
+        gens, coeffs = cert.generators, cert.coefficients
+        if id(gens) not in rendered:
+            rendered[id(gens)] = [str(g) for g in gens]
+        if id(coeffs) not in rendered:
+            rendered[id(coeffs)] = (
+                "FAILURE" if coeffs is None else [str(Fraction(c)) for c in coeffs]
+            )
         records.append({
             "label": cert.label,
             "target": str(cert.target),
-            "generators": rendered[key],
-            "coefficients": "FAILURE"
-            if cert.coefficients is None
-            else [str(Fraction(c)) for c in cert.coefficients],
+            "generators": rendered[id(gens)],
+            "coefficients": rendered[id(coeffs)],
             "success": cert.success,
         })
     return records
@@ -173,27 +190,37 @@ def verify_certificates(certs):
     target or used generator that carries t raises ValueError.  Each
     generator is converted to integers once however many certificates
     share it (as all certificates from one `certify_relations` call share
-    their generator list)."""
+    their generator list), and each distinct (target, generators,
+    coefficients) triple of objects is verified once."""
     forms = {}  # id(generator) -> integer form
+    verdicts = {}  # ids of (target, generators, coefficients) -> verdict
     oks = []
-    # iterating a list keeps every generator alive, so no id is reused
+    # iterating a list keeps every object alive, so no id is reused
     for cert in list(certs):
-        if cert.coefficients is None or len(cert.coefficients) != len(cert.generators):
-            oks.append(False)
-            continue
-        used = [(-1, *_integer_form(cert.target))]  # the target, with coefficient -1
-        for c, g in zip(cert.coefficients, cert.generators):
-            # `is` skips the solver's zeros without a call
-            if c is not _ZERO and _as_exact(c):
-                if id(g) not in forms:
-                    forms[id(g)] = _integer_form(g)
-                used.append((c, *forms[id(g)]))
-        common = lcm(*(c.denominator * d for c, d, _ in used))
-        acc = {}
-        for c, d, vec in used:
-            _subtract(acc, c.numerator * (common // (c.denominator * d)), vec)
-        oks.append(not acc)
+        key = (id(cert.target), id(cert.generators), id(cert.coefficients))
+        if key not in verdicts:
+            verdicts[key] = _holds(cert, forms)
+        oks.append(verdicts[key])
     return oks
+
+
+def _holds(cert, forms):
+    """Whether one certificate holds, as in `verify_certificates`, with
+    the integer forms of generators already converted in `forms`."""
+    if cert.coefficients is None or len(cert.coefficients) != len(cert.generators):
+        return False
+    used = [(-1, *_integer_form(cert.target))]  # the target, with coefficient -1
+    for c, g in zip(cert.coefficients, cert.generators):
+        # `is` skips the solver's zeros without a call
+        if c is not _ZERO and _as_exact(c):
+            if id(g) not in forms:
+                forms[id(g)] = _integer_form(g)
+            used.append((c, *forms[id(g)]))
+    common = lcm(*(c.denominator * d for c, d, _ in used))
+    acc = {}
+    for c, d, vec in used:
+        _subtract(acc, c.numerator * (common // (c.denominator * d)), vec)
+    return not acc
 
 
 def span_membership(target, generators, label=""):
@@ -207,25 +234,32 @@ def certify_relations(suite, relations, alpha):
     """Certify, power by power in (t - alpha), that each Taylor coefficient
     of each relation lies in the span of the relations evaluated at t = alpha.
 
-    `relations` yields (label, (lhs, rhs), number of powers) triples; the
-    Taylor coefficients of each lhs - rhs are padded with zeros to its
-    number of powers.  The generators are the coefficients of
-    (t - alpha)^0."""
-    shifted = [
-        (f"{suite} {label}", taylor_shift(sub(*sides), alpha), powers)
-        for label, sides, powers in relations
-    ]
-    gens = [parts[0] for _, parts, _ in shifted]
+    `relations` yields (label, (lhs, rhs), number of powers, key) tuples,
+    where relations with one key state one identity.  The Taylor
+    coefficients of lhs - rhs, padded with zeros to the number of powers,
+    are taken and solved once per key, and only they are kept, never the
+    sides.  There is one certificate per relation and power, with its own
+    label; those of one key share their target and coefficient-list
+    objects.  The generators, one list that every certificate shares, are
+    each relation's coefficient of (t - alpha)^0, in order."""
+    parts_of = {}  # key -> padded Taylor coefficients
+    labelled = []
+    for label, sides, powers, key in relations:
+        if key not in parts_of:
+            parts = taylor_shift(sub(*sides), alpha)
+            parts_of[key] = parts + [FormalSum.zero()] * (powers - len(parts))
+        labelled.append((f"{suite} {label}", key))
+    gens = [parts_of[key][0] for _, key in labelled]
     solver = SpanSolver(gens)
-    certs = []
-    for label, parts, powers in shifted:
-        parts += [FormalSum.zero()] * (powers - len(parts))
-        for power, part in enumerate(parts):
-            coeffs = solver.coefficients_for(part)
-            certs.append(
-                RelationCertificate(part, gens, coeffs, label=f"{label} power={power}")
-            )
-    return certs
+    solved = {
+        key: [(part, solver.coefficients_for(part)) for part in parts]
+        for key, parts in parts_of.items()
+    }
+    return [
+        RelationCertificate(part, gens, coeffs, label=f"{label} power={power}")
+        for label, key in labelled
+        for power, (part, coeffs) in enumerate(solved[key])
+    ]
 
 
 def _check_weight(k):
@@ -235,23 +269,31 @@ def _check_weight(k):
 
 def sum_formula_relations(k):
     """The weight-k sum formula, one relation per depth n < k, as
-    (label, (lhs, rhs), number of powers of t - alpha): the degree in t is
-    below n.  The weight is checked at once; each relation's sides are
-    built when it is reached."""
+    (label, (lhs, rhs), number of powers of t - alpha, key): the degree in
+    t is below n, and the key is n, so no two relations share one.  The
+    weight is checked at once; each relation's sides are built when it is
+    reached."""
     _check_weight(k)
-    return ((f"k={k} n={n}", sum_formula_sides(k, n), n) for n in range(1, k))
+    return ((f"k={k} n={n}", sum_formula_sides(k, n), n, n) for n in range(1, k))
 
 
 def cyclic_relations(k):
     """The weight-k cyclic sum formula, one relation per word w of weight
     k and depth below k, as in `sum_formula_relations`: the degree in t is
-    at most the depth of w."""
+    at most the depth of w.  Both sides sum over the rotations of w, so
+    the key is w's least rotation, and the words of one rotation class
+    yield one sides object, built when the first of them is reached.  The
+    weight is checked at once."""
     _check_weight(k)
-    return (
-        (f"k={k} word={w}", cyclic_sides(w), w.depth + 1)
-        for w in words_of_weight(k)
-        if w.depth < k
-    )
+    sides = {}  # least rotation -> that class's sides
+
+    def relation(w):
+        key = min(_rotations(w))
+        if key not in sides:
+            sides[key] = cyclic_sides(w)
+        return f"k={k} word={w}", sides[key], w.depth + 1, key
+
+    return (relation(w) for w in words_of_weight(k) if w.depth < k)
 
 
 def verify_sf_reduction(k, alpha=0):

@@ -393,3 +393,20 @@ def test_refusals_name_what_is_wrong(call, kind, message):
     with pytest.raises(kind) as info:
         call()
     assert type(info.value) is kind and str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text, term",
+    [
+        (parse_ratpoly, "1/0", "1/0"),
+        (parse_ratpoly, "1 - 3/00*t^2", "3/00*t^2"),
+        (parse_formal_sum, "(1/0)*[2]", "1/0"),
+        (parse_formal_sum, "(1)*[3] + (t - 0/0t)*[2]", "0/0t"),
+    ],
+)
+def test_a_zero_denominator_is_refused_as_malformed_text(parse, text, term):
+    # every malformed text raises ValueError, a zero denominator too
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"zero denominator in polynomial term {term!r}"

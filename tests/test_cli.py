@@ -276,6 +276,10 @@ PINNED_STDOUT = {
         "9db1cadc075b2cfd8c299dd5360a78b03b3b2b96af73b9b6db63226aa3fa4b2e",
     ("verify", "cyclic", "--k", "8"):
         "cf7e62c1e22411dc9f12fe92871487191d5fae58b7df2c5fbd7bed830a89f76a",
+    ("verify", "cyclic", "--k", "9"):
+        "0900c135188ab1f192e5daa1a11174cb13bac51648e004b764d568babf23f415",
+    ("verify", "cyclic", "--k", "10"):
+        "0e5ea95a6b6f0e7d6188f2c24bfc4252b1fd2709e4b7cfbe7fde0b2e0fda8dc5",
     ("verify", "sum-formula", "--k", "11", "--json"):
         "fa23404aebcc9ae3b7f5b1b03ff0d872a03b1c6656d7462c4562881d86334baf",
     ("expand", "--index", "3,1,2,1,1", "--json"):
@@ -311,18 +315,38 @@ def test_each_certificate_is_verified_once(capsys, monkeypatch):
     assert len(calls) == len(out) - 1 == len({id(c) for c in calls})
 
 
+def _identity(label):
+    """The identity a relation label such as "k=5 word=1,4" or "k=7 n=3"
+    states: a sum-formula depth, or the rotation class of a cyclic word,
+    as its least rotation, since both sides sum over the rotations."""
+    kind, value = label.split()[-1].split("=")
+    if kind == "n":
+        return int(value)
+    word = tuple(int(x) for x in value.split(","))
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
 @pytest.mark.parametrize("suite, k, relations", [("sum-formula", "7", 6), ("cyclic", "5", 15)])
 def test_numeric_builds_each_relation_once(capsys, monkeypatch, suite, k, relations):
-    calls = []
+    calls, evaluated = [], []
     for name in ("sum_formula_sides", "cyclic_sides"):
         build = getattr(reduction, name)
         monkeypatch.setattr(
             reduction, name, lambda *args, build=build: calls.append(args) or build(*args)
         )
+    verify = cli.verify_identity
+    monkeypatch.setattr(
+        cli, "verify_identity", lambda *args: evaluated.append(args) or verify(*args)
+    )
     code, out, _ = run_lines(capsys, ["verify", suite, "--k", k, "--numeric"])
     assert code == 0
     # one line per numeric check follows the certificates and their summary
-    assert len(calls) == relations == sum(" t=" in line for line in out)
+    numeric = [line.split(":")[0].split(maxsplit=1)[1] for line in out if " t=" in line]
+    assert len(numeric) == relations
+    # each identity, one per depth or rotation class (6 of the 15 cyclic
+    # words at k = 5), is built once and evaluated once
+    identities = {_identity(label) for label in numeric}
+    assert len(calls) == len(evaluated) == len(identities) == 6
 
 
 _CLI_UNDER_SIGNALS = """

@@ -1,5 +1,6 @@
 """Exact rational span certificates for the reduction arguments."""
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -19,7 +20,7 @@ from izeta.reduction import (
     verify_sf_reduction,
 )
 
-from helpers import cyclic_merges, cyclic_relation_parts, words_up_to_weight
+from helpers import compositions, cyclic_merges, cyclic_relation_parts, words_up_to_weight
 
 
 def w(*letters):
@@ -200,7 +201,7 @@ def _cyclic_label(cert):
 
 @pytest.mark.parametrize(
     "k, alpha",
-    [(k, 0) for k in range(2, 10)]
+    [(k, 0) for k in range(2, 11)]
     + [(k, alpha) for alpha in (Fraction(1, 2), 1) for k in range(2, 8)],
 )
 def test_cyclic_certificate_targets_follow_the_closed_form(k, alpha):
@@ -319,7 +320,41 @@ def test_verify_certificates_converts_each_shared_generator_once(monkeypatch):
     )
     assert all(verify_certificates(certs))
     used = {i for c in certs for i, x in enumerate(c.coefficients) if x}
-    assert len(converted) == len(certs) + len(used)  # each target, each used generator
+    # the words of one rotation class share their targets and coefficients
+    targets = {id(c.target) for c in certs}
+    assert len(targets) < len(certs)
+    assert len(converted) == len(targets) + len(used)  # each target, each used generator
+
+
+def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
+    calls = Counter()
+    for owner, name in [
+        (reduction, "cyclic_sides"),
+        (reduction, "taylor_shift"),
+        (SpanSolver, "coefficients_for"),
+    ]:
+        call = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, name=name, call=call: calls.update([name]) or call(*args)
+        )
+    # both sides of the cyclic sum formula sum over the rotations of a word,
+    # so one relation per rotation class, with one part per power of t
+    words = [v for v in compositions(8) if len(v) < 8]
+    classes = {min(v[i:] + v[:i] for i in range(len(v))) for v in words}
+    certs = verify_csf_reduction(8)
+    assert (len(words), len(classes), len(certs)) == (127, 34, 695)
+    parts = sum(len(v) + 1 for v in classes)
+    assert calls == {"cyclic_sides": 34, "taylor_shift": 34, "coefficients_for": parts}
+    assert parts == 170
+    # the certificates of one class share their target and coefficients
+    by_label = {c.label: c for c in certs}
+    for power in range(3):
+        a, b = (by_label[f"cyclic k=8 word={v} power={power}"] for v in ("1,2,5", "2,5,1"))
+        assert a.target is b.target and a.coefficients is b.coefficients
+    # no two sum-formula relations share a key
+    calls.clear()
+    assert len(verify_sf_reduction(11)) == 55
+    assert calls == {"taylor_shift": 10, "coefficients_for": 55}
 
 
 @pytest.mark.parametrize("coefficients", [[2, 0, 99], [2, 0, 0], [2], []])
