@@ -6,20 +6,25 @@ t^(number of merges).  At t = 0 it is the identity; at t = 1 it sends the
 generating series of strict nested sums to that of non-strict ones.  All
 routines here are Q[t]-linear in their formal-sum argument.
 
-One word's image comes from the first-letter recursion
+The operator comes from the first-letter recursion
 S(a u) = a S(u) + t (a o S(u)), where a o merges the letter a into the
-head of each word, memoised on the tail u (Hoffman, *Quasi-shuffle
-products*, J. Algebraic Combin. 11 (2000)).  Its 2^(n-1) words are
-distinct, and the memo keeps just those words: a contraction u of w
-carries t^sigma with sigma = len(w) - len(u), its number of merges.  So
-`s_t` only shifts degrees, and `s_alpha` multiplies by alpha^sigma in
-integers over one common denominator; `s_poly` is each word's `s_t` image
-with a polynomial put in for t.  `taylor_shift` splits a sum by degree in
-t and re-expands the split about alpha by Horner's rule.  Results are
-built with the trusted constructors of `algebra` from the validated
-input.  `enumerate_contractions` reads the same expansion as
-explicit patterns, and so do `identities.words_of_weight`,
-`identities.sum_words` and `numeric.mzsv`.
+head of each word (Hoffman, *Quasi-shuffle products*, J. Algebraic
+Combin. 11 (2000)).  One word's image is memoised on the tail u; its
+2^(n-1) words are distinct, and the memo keeps just those words: a
+contraction u of w carries t^sigma with sigma = len(w) - len(u), its
+number of merges.  `s_t` runs the recursion once on the whole sum:
+terms are grouped by first letter, and a group in which two tails start
+with the same letter recurses on its tails as one sum, so that equal
+words merge at every level.  Any other group (a single word, say) reads
+the memo and shifts degrees by sigma.  `s_alpha` multiplies by
+alpha^sigma in integers over one common denominator; `s_poly` multiplies
+by param^sigma, each power computed once per call.  `taylor_shift`
+splits a sum by degree in t and re-expands the split about alpha = p/q
+by Horner's rule in integers.  Results are built with the trusted
+constructors of `algebra` from the validated input.
+`enumerate_contractions` reads the same expansion as explicit patterns,
+and so do `identities.words_of_weight`, `identities.sum_words` and
+`numeric.mzsv`.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from .algebra import (
     _word,
     as_sum,
     substitute_t,
-    word_linear,
 )
 
 
@@ -102,33 +106,70 @@ def _s_t_word(w: Word) -> tuple[Word, ...]:
     return tuple(out)
 
 
+def _s_t_graded(items):
+    """The operator on the sum of the (word, {degree: coefficient}) pairs
+    `items`, as {word: {degree: coefficient}} with zeros kept: the
+    first-letter recursion run on the whole sum, so that equal words merge
+    at every level.  The terms are grouped by first letter.  A group whose
+    tails start with distinct letters (one word, or the unit, say) reads
+    each word's `_s_t_word` memo whole.  Any other group recurses once on
+    its tails, taken as one sum, then prepends its letter a at the same
+    degree and merges a into the head at degree + 1.  Words here may be
+    plain tuples, so the memo is called only with `_word`s: a tuple would
+    share the entry of the equal Word and could store tuples in it."""
+    out, groups = {}, {}
+    for w, c in items:
+        groups.setdefault(w[:1], []).append((w, c))
+    for head, group in groups.items():
+        if len(group) == 1 or len({w[1:2] for w, _ in group}) == len(group):
+            for w, c in group:
+                w = _word(w)
+                for v in _s_t_word(w):
+                    sigma = len(w) - len(v)
+                    acc = out.setdefault(v, {})
+                    for deg, x in c.items():
+                        acc[deg + sigma] = acc.get(deg + sigma, 0) + x
+            continue
+        for u, c in _s_t_graded([(w[1:], c) for w, c in group]).items():
+            # c belongs to the inner result and is read once more, just
+            # below and unchanged, so a new prepended word may keep it
+            if (acc := out.setdefault(head + u, c)) is not c:
+                for deg, x in c.items():
+                    acc[deg] = acc.get(deg, 0) + x
+            if u:
+                acc = out.setdefault((head[0] + u[0],) + u[1:], {})
+                for deg, x in c.items():
+                    acc[deg + 1] = acc.get(deg + 1, 0) + x
+    return out
+
+
 def s_poly(e, param):
     """Apply the operator with its parameter replaced by the polynomial
     `param`; Q[t]-linear, so existing coefficients are left alone: each
-    word's `s_t` image with `param` put in for t, times the word's own
-    coefficient."""
+    contraction u of a word w with sigma merges gets w's coefficient times
+    param^sigma, each power computed once per call."""
     param = RatPoly(param)
-    return word_linear(lambda w: s_t(w).map_coefficients(lambda p: p.compose(param)), e)
+    powers = [RatPoly(1)]  # param^0, param^1, ..., grown on demand
+    out = {}
+    for w, c in as_sum(e).terms.items():
+        while len(powers) < len(w):
+            powers.append(powers[-1] * param)
+        scaled = [c * p for p in powers[: len(w) or 1]]  # by sigma
+        for u in _s_t_word(w):
+            p = scaled[len(w) - len(u)]
+            out[u] = p if (q := out.get(u)) is None else q + p
+    return _normal_sum({u: p for u, p in out.items() if p})
 
 
 def s_t(e):
     """The interpolation operator itself (parameter t): each contraction
-    with sigma merges shifts the degrees of its coefficient by sigma."""
-    out = {}
-    for w, c in as_sum(e).terms.items():
-        for u in _s_t_word(w):
-            sigma = len(w) - len(u)
-            acc = out.get(u)
-            if acc is None:
-                out[u] = {deg + sigma: x for deg, x in c.coeffs.items()}
-                continue
-            for deg, x in c.coeffs.items():
-                acc[deg + sigma] = acc.get(deg + sigma, 0) + x
+    with sigma merges shifts the degrees of its coefficient by sigma.
+    The whole sum runs through one first-letter recursion."""
     terms = {}
-    for u, acc in out.items():
-        p = {deg: x for deg, x in acc.items() if x}
-        if p:
-            terms[u] = _poly(p)
+    for u, acc in _s_t_graded((w, c.coeffs) for w, c in as_sum(e).terms.items()).items():
+        if p := {deg: x for deg, x in acc.items() if x}:
+            # memo words are Words already; the recursion builds tuples
+            terms[u if type(u) is Word else _word(u)] = _poly(p)
     return _normal_sum(terms)
 
 
@@ -178,9 +219,12 @@ def taylor_shift(e, alpha):
     in t of a coefficient of e (just a_0 = 0 for e = 0), with
     a_k = (d/dt)^k e |_{t=alpha} / k!.  Splitting e by degree into the
     t-free parts P_0, ..., P_d gives the answer at alpha = 0.  Any other
-    alpha re-expands the split by Horner's rule on the plain
-    {Word: coefficient} parts: for i < d, and j from d - 1 down to i,
-    P_j += alpha P_(j+1).  Zeros are dropped once, at the end.
+    alpha = p/q re-expands the split by Horner's rule in integers: the
+    parts R_j = q^(d-j) P_j of q^d e(t/q) are shifted to the integer p,
+    for i < d, and j from d - 1 down to i, R_j += p R_(j+1), and then
+    a_k = R_k / q^(d-k), one Fraction per word of a_k.  So each a_k is
+    sum_j C(j, k) p^(j-k) q^(d-j+k) P_j over q^d, with integer factors.
+    Zeros are dropped once, at the end.
     """
     alpha = _as_exact(alpha)
     e = as_sum(e)
@@ -190,11 +234,17 @@ def taylor_shift(e, alpha):
         for j, c in poly.coeffs.items():
             parts[j][w] = c
     if alpha:
+        p, q = alpha.numerator, alpha.denominator
+        parts = [{w: c * q ** (degree - j) for w, c in part.items()}
+                 for j, part in enumerate(parts)]
         for i in range(degree):
             for j in range(degree - 1, i - 1, -1):
                 for w, c in parts[j + 1].items():
-                    parts[j][w] = parts[j].get(w, 0) + alpha * c
-    return [_normal_sum({w: _poly({0: c}) for w, c in p.items() if c}) for p in parts]
+                    parts[j][w] = parts[j].get(w, 0) + p * c
+        for k, part in enumerate(parts):
+            if (den := q ** (degree - k)) > 1:
+                parts[k] = {w: Fraction(c, den) for w, c in part.items()}
+    return [_normal_sum({w: _poly({0: c}) for w, c in part.items() if c}) for part in parts]
 
 
 def index_expansions(idx):

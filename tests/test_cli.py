@@ -288,6 +288,9 @@ PINNED_STDOUT = {
         "1244da3b874ddcfeec0d19479890b459ea92e702b3bd8bc7119e9592b72defcf",
     ("eval", "--index", "2,1,1", "--t", "1/2", "--json"):
         "6585d54c88242f4c14f4e57732ffdc7b232d6b90d3b6cebfae6fbdebc395ed43",
+    # written --k=14 so that it sorts last and the other cases keep their IDs
+    ("verify", "sum-formula", "--k=14"):
+        "87a337b030389fb257074a06408637d578fdf96b083e2c72cf30d4248c51bae2",
 }
 
 

@@ -74,6 +74,15 @@ def test_operator_on_sum_families_matches_binomial_closed_form():
             assert s_t(sum_words(k, n)) == expected
 
 
+@pytest.mark.parametrize("k", [13, 14])
+def test_operator_on_sum_families_matches_binomial_closed_form_at_large_weight(k):
+    for n in range(1, k):
+        expected = FormalSum()
+        for j in range(n):
+            expected = expected + RatPoly({j: comb(k - n + j - 1, j)}) * sum_words(k, n - j)
+        assert s_t(sum_words(k, n)) == expected, n
+
+
 def test_sum_poly_examples():
     assert sum_poly(3, 2) == RatPoly({0: 1, 1: 1})
     assert sum_poly(5, 3) == RatPoly({0: 1, 1: 2, 2: 3})

@@ -327,6 +327,63 @@ def test_operator_on_every_word_up_to_weight_9_matches_brute_force():
 ALPHAS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 5)]
 
 
+# sums that run through the whole-sum recursion: first letters shared at
+# two and three depths (tails starting alike, so a group recurses),
+# the unit alone and among other words, Fraction coefficients of several
+# degrees, and [2,1] - t[3], whose image is just [2,1]
+WHOLE_SUMS = {
+    "shared-prefixes": {
+        (2, 1, 1): {0: 1}, (2, 1, 3): {1: -2}, (2, 1, 1, 1): {0: 3, 2: 1},
+        (2, 2, 1): {0: 5}, (1, 1): {1: 1}, (1, 2, 1): {0: -1}, (1, 1, 2, 1): {3: 2},
+    },
+    "unit": {(): {0: 1}},
+    "unit-and-words": {(): {0: 2, 1: -1}, (1,): {0: 1}, (1, 1): {2: 1}, (3, 1): {0: -4}},
+    "fractions": {
+        (1, 1, 1): {0: Fraction(1, 2), 2: Fraction(-3, 7)},
+        (1, 1, 2): {1: Fraction(5, 3)},
+        (1, 2, 1): {0: Fraction(-1, 6), 4: 2},
+        (3,): {0: Fraction(2, 9), 1: 1},
+    },
+    "cancelling": {(2, 1): {0: 1}, (3,): {1: -1}},
+    "weight-7": {
+        word.letters: {i % 3: Fraction(i % 5 - 2, i % 4 + 1) or 1}
+        for i, word in enumerate(words_up_to_weight(7))
+    },
+}
+
+
+def brute_s_t(terms):
+    """S^t of {letter tuple: {t exponent: coefficient}}, word by word over
+    brute-force contractions; the unit maps to itself."""
+    out = {}
+    for letters, poly in terms.items():
+        image = brute_contractions(letters) if letters else {(): {0: 1}}
+        for word, merges in image.items():
+            acc = out.setdefault(word, {})
+            for sigma, mult in merges.items():
+                for e, c in poly.items():
+                    acc[e + sigma] = acc.get(e + sigma, 0) + mult * c
+    out = {word: {e: c for e, c in p.items() if c} for word, p in out.items()}
+    return {word: p for word, p in out.items() if p}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_SUMS))
+def test_s_t_of_a_whole_sum_matches_brute_force(name):
+    terms = WHOLE_SUMS[name]
+    _s_t_word.cache_clear()  # so that any entry stored below is stored fresh
+    got = s_t(dictpoly_to_sum(terms))
+    assert_normal_form(got)
+    assert as_dicts(got) == brute_s_t(terms)
+    if name == "cancelling":
+        assert as_dicts(got) == {(2, 1): {0: 1}}
+    # a plain tuple passed to the memo would share the entry of the equal
+    # Word and store tuples in it
+    for letters in terms:
+        for i in range(len(letters)):
+            image = _s_t_word(Word(letters[i:]))
+            assert type(image) is tuple and all(type(u) is Word for u in image)
+
+
 @pytest.mark.parametrize(
     "param",
     [{0: 1, 1: -1}, {2: 1}, {0: Fraction(3, 2)}, {}],
