@@ -149,12 +149,12 @@ def _cmd_verify_reduction(args):
     identity at t; exit 1 if a certificate or a numeric check fails."""
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t)
-    relations = args.relations(args.k)
-    # Under --numeric each identity's sides are built once, for both
-    # checks, and evaluated once per relation key as they are built, before
-    # any certificate, so the evaluator rejects a bad --M at the first side
-    # too deep for it.  Without it the relations stay lazy: no side
-    # outlives its Taylor shift.
+    relations = args.relations(args.k, args.numeric)
+    # Under --numeric each identity's sides are built once, as formal sums
+    # for both checks, and evaluated once per relation key as they are
+    # built, before any certificate, so the evaluator rejects a bad --M at
+    # the first side too deep for it.  Without it the relations stay lazy
+    # and graded: no side outlives its Taylor shift.
     reports, built, by_key = [], [], {}
     for relation in relations if args.numeric else ():
         label, sides, _, key = relation

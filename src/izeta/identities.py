@@ -2,12 +2,17 @@
 fixed-weight sum families, cyclic generators, the alternating sum, and the
 half-parameter translation between star values and odd-letter words.
 
-The sum formula and the cyclic sum formula are each stated once, as the
-pair of sides that `sum_formula_sides` and `cyclic_sides` return; the
-reduction certificates and the numeric checks both start from them."""
+The sum formula and the cyclic sum formula are each stated once, in the
+graded integer form {word: {degree in t: int}} of the operator's
+whole-sum recursion (`_sum_formula_graded`, `_cyclic_graded`): S^t of a
+sum of words, times (1 - t), plus z_k times the interpolation
+polynomial or k t^n z_(k+1).  The reduction certificates read that form
+directly; `sum_formula_sides` and `cyclic_sides` turn it into the pair of
+formal sums that the numeric checks evaluate."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
@@ -16,8 +21,8 @@ from .algebra import (
     FormalSum,
     Index,
     RatPoly,
-    T,
     Word,
+    _poly,
     _word,
     as_sum,
     harmonic_product,
@@ -25,7 +30,7 @@ from .algebra import (
     t_harmonic_product,
     word_linear,
 )
-from .interpolate import _s_t_word, s_poly, s_t
+from .interpolate import _graded_sum, _s_t_graded, _s_t_word, s_poly, s_t
 
 
 def words_of_weight(k):
@@ -58,46 +63,66 @@ def _sum_families(k):
     return families
 
 
+def _sum_poly_coeffs(k, n):
+    """{j: C(k-n+j-1, j) for j < n}, the t^j coefficients of `sum_poly`."""
+    if n < 1 or k <= n:
+        raise ValueError(f"empty family: weight {k}, depth {n}")
+    return {j: comb(k - n + j - 1, j) for j in range(n)}
+
+
 def sum_poly(k, n):
     """Weight-k depth-n interpolation polynomial: sum over j < n of
     C(k-1, j) t^j (1-t)^(n-1-j), expanded exactly.  Its t^j coefficient
     is C(k-n+j-1, j), which is what is returned."""
-    if n < 1 or k <= n:
-        raise ValueError(f"empty family: weight {k}, depth {n}")
-    return RatPoly({j: comb(k - n + j - 1, j) for j in range(n)})
+    return _poly(_sum_poly_coeffs(k, n))
+
+
+def _s_t_of_words(words):
+    """S^t of the sum of `words`, each with coefficient 1, graded."""
+    return _s_t_graded([(u, {0: m}) for u, m in Counter(words).items()])
+
+
+def _sum_formula_graded(k, n):
+    """`sum_formula_sides(k, n)` as {word: {degree: int}} each."""
+    rhs = {(k,): _sum_poly_coeffs(k, n)}
+    return _s_t_of_words(_sum_families(k)[n]), rhs
 
 
 def sum_formula_sides(k, n):
     """The two sides of the interpolated sum formula at weight k and depth
     n: S^t of the sum of all admissible words of weight k and depth n, and
     z_k times `sum_poly(k, n)`.  Their values agree for every t."""
-    zk = FormalSum.from_word(Word((k,)))
-    return s_t(sum_words(k, n)), zk * sum_poly(k, n)
+    return tuple(map(_graded_sum, _sum_formula_graded(k, n)))
 
 
 def _rotations(parts):
-    """The rotations of an exponent tuple, starting at each position in
-    turn."""
+    """The rotations of a nonempty exponent tuple, starting at each
+    position in turn."""
+    if not parts:
+        raise ValueError("cyclic operators need a nonempty word")
     return (parts[l:] + parts[:l] for l in range(len(parts)))
+
+
+def _raised(w):
+    """The words of `cyclic_C(w)`, as tuples, repeats included."""
+    return ((rot[0] + 1,) + rot[1:] for rot in _rotations(w))
+
+
+def _split(w):
+    """The words of `cyclic_Sigma(w)`, as tuples, repeats included."""
+    return ((rot[0] + 1 - j,) + rot[1:] + (j,)
+            for rot in _rotations(w) for j in range(1, rot[0]))
 
 
 def cyclic_C(w):
     """Sum over rotations of w with the leading exponent raised by one."""
-    if not w:
-        raise ValueError("cyclic operators need a nonempty word")
-    return FormalSum((_word((rot[0] + 1,) + rot[1:]), 1) for rot in _rotations(w))
+    return FormalSum((_word(u), 1) for u in _raised(w))
 
 
 def cyclic_Sigma(w):
     """Sum over rotations and over splittings of the rotated head: the
     head k becomes k+1-j in front and a trailing letter j, 1 <= j < k."""
-    if not w:
-        raise ValueError("cyclic operators need a nonempty word")
-    return FormalSum(
-        (_word((rot[0] + 1 - j,) + rot[1:] + (j,)), 1)
-        for rot in _rotations(w)
-        for j in range(1, rot[0])
-    )
+    return FormalSum((_word(u), 1) for u in _split(w))
 
 
 def cyclic_delta(w):
@@ -108,17 +133,27 @@ def cyclic_delta(w):
     return FormalSum((_word((rot[0] + rot[1],) + rot[2:]), 1) for rot in _rotations(w))
 
 
+def _cyclic_graded(w):
+    """`cyclic_sides(w)` as {word: {degree: int}} each."""
+    k, n = w.weight, w.depth
+    if n == 0 or k <= n:
+        raise ValueError(f"excluded by n < k: word {w!r}")
+    rhs = {}
+    for u, c in _s_t_of_words(_raised(w)).items():
+        acc = rhs[u] = dict(c)  # times 1 - t
+        for deg, x in c.items():
+            acc[deg + 1] = acc.get(deg + 1, 0) - x
+    # every word of C w contracts to z_(k+1), so rhs holds -n t^n z_(k+1)
+    rhs[(k + 1,)][n] += k
+    return _s_t_of_words(_split(w)), rhs
+
+
 def cyclic_sides(w):
     """The two sides of the interpolated cyclic sum formula for a word w of
     weight k and depth n < k: S^t(Sigma w), the rotations split at the
     head, and (1 - t) S^t(C w) + k t^n z_{k+1}, the rotations with the head
     raised.  Their values agree for every t."""
-    k = w.weight
-    n = w.depth
-    if n == 0 or k <= n:
-        raise ValueError(f"excluded by n < k: word {w!r}")
-    zk1 = FormalSum.from_word(_word((k + 1,)))
-    return s_t(cyclic_Sigma(w)), (1 - T) * s_t(cyclic_C(w)) + (k * T**n) * zk1
+    return tuple(map(_graded_sum, _cyclic_graded(w)))
 
 
 def csf_generator(w):

@@ -18,10 +18,16 @@ with the same letter recurses on its tails as one sum, so that equal
 words merge at every level.  Any other group (a single word, say) reads
 the memo and shifts degrees by sigma.  `s_alpha` multiplies by
 alpha^sigma in integers over one common denominator; `s_poly` multiplies
-by param^sigma, each power computed once per call.  `taylor_shift`
-splits a sum by degree in t and re-expands the split about alpha = p/q
-by Horner's rule in integers.  Results are built with the trusted
-constructors of `algebra` from the validated input.
+by param^sigma, each power computed once per call.
+
+The recursion's graded form {word: {degree: coefficient}} is also what
+the identities are stated in and what the reduction certificates read:
+`_graded_sum` turns it into a formal sum, and `_taylor_parts` takes the
+(t - alpha)^m parts of one graded side, or of the difference of two,
+split by degree and re-expanded about alpha = p/q by Horner's rule in
+integers, each part left as integers over q^(d-m).  `taylor_shift` is
+those parts of one formal sum, as formal sums.  Results are built with
+the trusted constructors of `algebra` from the validated input.
 `enumerate_contractions` reads the same expansion as explicit patterns,
 and so do `identities.words_of_weight`, `identities.sum_words` and
 `numeric.mzsv`.
@@ -161,16 +167,21 @@ def s_poly(e, param):
     return _normal_sum({u: p for u, p in out.items() if p})
 
 
-def s_t(e):
-    """The interpolation operator itself (parameter t): each contraction
-    with sigma merges shifts the degrees of its coefficient by sigma.
-    The whole sum runs through one first-letter recursion."""
+def _graded_sum(graded):
+    """The formal sum of {word: {degree: coefficient}}, zeros dropped."""
     terms = {}
-    for u, acc in _s_t_graded((w, c.coeffs) for w, c in as_sum(e).terms.items()).items():
+    for u, acc in graded.items():
         if p := {deg: x for deg, x in acc.items() if x}:
             # memo words are Words already; the recursion builds tuples
             terms[u if type(u) is Word else _word(u)] = _poly(p)
     return _normal_sum(terms)
+
+
+def s_t(e):
+    """The interpolation operator itself (parameter t): each contraction
+    with sigma merges shifts the degrees of its coefficient by sigma.
+    The whole sum runs through one first-letter recursion."""
+    return _graded_sum(_s_t_graded((w, c.coeffs) for w, c in as_sum(e).terms.items()))
 
 
 def s_alpha(e, alpha):
@@ -212,39 +223,49 @@ def d_dt(e):
     return as_sum(e).map_coefficients(lambda p: p.derivative())
 
 
+def _taylor_parts(sides, alpha, powers):
+    """The (t - alpha)^m parts, m < `powers`, of lhs - rhs for `sides`
+    (lhs, rhs), or of lhs for (lhs,): each side graded, {word: {degree:
+    coefficient}}, or a formal sum, every degree below `powers`.  Each
+    part is (den, {word: coefficient}) with no zero, the part being that
+    over den.  Splitting by degree into P_0, ..., P_d, d = powers - 1,
+    gives the parts at alpha = 0.  Any other alpha = p/q re-expands the
+    split by Horner's rule in integers: the parts R_j = q^(d-j) P_j of
+    q^d e(t/q), scaled as they are split, are shifted to the integer p,
+    for i < d, and j from d - 1 down to i, R_j += p R_(j+1), and part m is
+    R_m over q^(d-m).  So R_m is sum_j C(j, m) p^(j-m) q^(d-j+m) P_j, with
+    integer factors."""
+    p, q, d = alpha.numerator, alpha.denominator, powers - 1
+    parts = [{} for _ in range(powers)]
+    for sign, side in zip((1, -1), sides):
+        scale = [sign * q ** (d - deg) for deg in range(powers)]
+        for w, c in side.items():
+            for deg, x in (c.coeffs if isinstance(c, RatPoly) else c).items():
+                parts[deg][w] = parts[deg].get(w, 0) + scale[deg] * x
+    for i in range(d if p else 0):
+        for j in range(d - 1, i - 1, -1):
+            for w, c in parts[j + 1].items():
+                parts[j][w] = parts[j].get(w, 0) + p * c
+    return [(q ** (d - m), {w: x for w, x in part.items() if x}) for m, part in enumerate(parts)]
+
+
+def _t_free_sum(den, vec):
+    """The t-free formal sum of {word: coefficient} over den."""
+    return _graded_sum({w: {0: Fraction(x, den) if den > 1 else x} for w, x in vec.items()})
+
+
 def taylor_shift(e, alpha):
     """Coefficients of e as a polynomial in (t - alpha).
 
     Returns the t-free formal sums a_0, ..., a_d, d the largest degree
     in t of a coefficient of e (just a_0 = 0 for e = 0), with
-    a_k = (d/dt)^k e |_{t=alpha} / k!.  Splitting e by degree into the
-    t-free parts P_0, ..., P_d gives the answer at alpha = 0.  Any other
-    alpha = p/q re-expands the split by Horner's rule in integers: the
-    parts R_j = q^(d-j) P_j of q^d e(t/q) are shifted to the integer p,
-    for i < d, and j from d - 1 down to i, R_j += p R_(j+1), and then
-    a_k = R_k / q^(d-k), one Fraction per word of a_k.  So each a_k is
-    sum_j C(j, k) p^(j-k) q^(d-j+k) P_j over q^d, with integer factors.
-    Zeros are dropped once, at the end.
+    a_k = (d/dt)^k e |_{t=alpha} / k!: the parts of `_taylor_parts`, one
+    Fraction per word of a_k at alpha = p/q with k < d and q > 1.
     """
     alpha = _as_exact(alpha)
     e = as_sum(e)
     degree = max((poly.degree for poly in e.terms.values()), default=0)
-    parts = [{} for _ in range(degree + 1)]
-    for w, poly in e.terms.items():
-        for j, c in poly.coeffs.items():
-            parts[j][w] = c
-    if alpha:
-        p, q = alpha.numerator, alpha.denominator
-        parts = [{w: c * q ** (degree - j) for w, c in part.items()}
-                 for j, part in enumerate(parts)]
-        for i in range(degree):
-            for j in range(degree - 1, i - 1, -1):
-                for w, c in parts[j + 1].items():
-                    parts[j][w] = parts[j].get(w, 0) + p * c
-        for k, part in enumerate(parts):
-            if (den := q ** (degree - k)) > 1:
-                parts[k] = {w: Fraction(c, den) for w, c in part.items()}
-    return [_normal_sum({w: _poly({0: c}) for w, c in part.items() if c}) for part in parts]
+    return [_t_free_sum(*part) for part in _taylor_parts([e], alpha, degree + 1)]
 
 
 def index_expansions(idx):

@@ -13,6 +13,16 @@ target, generators and coefficients.  A failed membership is a value
 (certificate with no coefficients), not an error, so callers can report
 exactly which component fell outside the span.
 
+`certify_relations` stays in integers from the identities to the
+solver: it takes each relation's sides in the graded form
+{word: {degree in t: int}} that `identities` states them in, and
+`interpolate._taylor_parts` subtracts them, splits the difference by
+degree and, at alpha = p/q != 0, shifts the parts by Horner's rule in
+integers, the loop `taylor_shift` runs too.  Part m is then an integer
+vector over q^(d-m), handed to the solver as it is; only the certificate
+targets become formal sums, one per part, and `_integer_form` is left to
+the public solver calls and to the verifier.
+
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
 since the cyclic sum formula sums over all rotations.  Relations with one
@@ -27,11 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import sub
 
 from .algebra import FormalSum, _as_exact, as_sum
-from .identities import _rotations, cyclic_sides, sum_formula_sides, words_of_weight
-from .interpolate import taylor_shift
+from .identities import (_cyclic_graded, _rotations, _sum_formula_graded, cyclic_sides,
+                         sum_formula_sides, words_of_weight)
+from .interpolate import _t_free_sum, _taylor_parts
 
 
 def _integer_form(e):
@@ -101,10 +111,12 @@ class SpanSolver:
     canonical (lexicographic) order.  Rows stay integer and unnormalised:
     a row is an integer vector `vec`, kept with the integer `combo` for
     which vec = sum of combo[i] * generator i, and its pivot entry need
-    not be 1.
+    not be 1.  `forms`, if given, lists the integer form (den, {Word:
+    int}) of each generator, in order, for a caller that has them; they
+    are read, not changed.
     """
 
-    def __init__(self, generators):
+    def __init__(self, generators, forms=None):
         self.generators = list(generators)
         self._pivots = {}  # Word -> (vec, combo)
         reduced = set()  # ids of objects self.generators keeps alive
@@ -112,8 +124,8 @@ class SpanSolver:
             if id(g) in reduced:
                 continue  # a repeat reduces to zero against the rows
             reduced.add(id(g))
-            den, vec = _integer_form(g)
-            vec, combo = self._reduce(vec, {i: den})
+            den, vec = _integer_form(g) if forms is None else forms[i]
+            vec, combo = self._reduce(dict(vec), {i: den})
             if vec:
                 self._pivots[min(vec)] = (vec, combo)
 
@@ -140,7 +152,11 @@ class SpanSolver:
 
     def coefficients_for(self, target):
         """Coefficients over the generators, or None if outside the span."""
-        den, vec = _integer_form(target)
+        return self._coefficients(*_integer_form(target))
+
+    def _coefficients(self, den, vec):
+        """`coefficients_for` the target vec / den, given in integers; the
+        dict vec is used up."""
         # the key None stands for the target: vec = den * target to start
         vec, combo = self._reduce(vec, {None: den})
         if vec:
@@ -224,10 +240,11 @@ def _holds(cert, forms):
 
 
 def span_membership(target, generators, label=""):
-    """Single-shot exact span membership with certificate."""
+    """Single-shot exact span membership with certificate; `generators`
+    may be any iterable, read once."""
     solver = SpanSolver(generators)
     coeffs = solver.coefficients_for(target)
-    return RelationCertificate(as_sum(target), list(generators), coeffs, label)
+    return RelationCertificate(as_sum(target), solver.generators, coeffs, label)
 
 
 def certify_relations(suite, relations, alpha):
@@ -235,26 +252,32 @@ def certify_relations(suite, relations, alpha):
     of each relation lies in the span of the relations evaluated at t = alpha.
 
     `relations` yields (label, (lhs, rhs), number of powers, key) tuples,
-    where relations with one key state one identity.  The Taylor
+    where relations with one key state one identity, and lhs and rhs are
+    graded or formal sums with integer coefficients.  The Taylor
     coefficients of lhs - rhs, padded with zeros to the number of powers,
-    are taken and solved once per key, and only they are kept, never the
-    sides.  There is one certificate per relation and power, with its own
-    label; those of one key share their target and coefficient-list
-    objects.  The generators, one list that every certificate shares, are
-    each relation's coefficient of (t - alpha)^0, in order."""
-    parts_of = {}  # key -> padded Taylor coefficients
+    are taken in integers and solved once per key, and only they are kept,
+    never the sides.  There is one certificate per relation and power,
+    with its own label; those of one key share their target and
+    coefficient-list objects.  The generators, one list that every
+    certificate shares, are each relation's coefficient of
+    (t - alpha)^0, in order."""
+    alpha = _as_exact(alpha)
+    parts_of = {}  # key -> padded integer Taylor coefficients
     labelled = []
     for label, sides, powers, key in relations:
         if key not in parts_of:
-            parts = taylor_shift(sub(*sides), alpha)
-            parts_of[key] = parts + [FormalSum.zero()] * (powers - len(parts))
+            parts_of[key] = _taylor_parts(sides, alpha, powers)
         labelled.append((f"{suite} {label}", key))
-    gens = [parts_of[key][0] for _, key in labelled]
-    solver = SpanSolver(gens)
-    solved = {
-        key: [(part, solver.coefficients_for(part)) for part in parts]
-        for key, parts in parts_of.items()
-    }
+    firsts = {key: _t_free_sum(*parts[0]) for key, parts in parts_of.items()}
+    gens = [firsts[key] for _, key in labelled]
+    solver = SpanSolver(gens, [parts_of[key][0] for _, key in labelled])
+    solved = {}
+    for key, parts in parts_of.items():
+        # the other parts become targets only now, and their integers go
+        # once solved
+        targets = [firsts[key], *(_t_free_sum(*part) for part in parts[1:])]
+        solved[key] = [(t, solver._coefficients(*part)) for t, part in zip(targets, parts)]
+        parts.clear()
     return [
         RelationCertificate(part, gens, coeffs, label=f"{label} power={power}")
         for label, key in labelled
@@ -267,17 +290,19 @@ def _check_weight(k):
         raise ValueError("weight must be at least 2")
 
 
-def sum_formula_relations(k):
+def sum_formula_relations(k, numeric=False):
     """The weight-k sum formula, one relation per depth n < k, as
     (label, (lhs, rhs), number of powers of t - alpha, key): the degree in
     t is below n, and the key is n, so no two relations share one.  The
-    weight is checked at once; each relation's sides are built when it is
-    reached."""
+    sides are graded, or with `numeric` the formal sums of
+    `sum_formula_sides`.  The weight is checked at once; each relation's
+    sides are built when it is reached."""
     _check_weight(k)
-    return ((f"k={k} n={n}", sum_formula_sides(k, n), n, n) for n in range(1, k))
+    build = sum_formula_sides if numeric else _sum_formula_graded
+    return ((f"k={k} n={n}", build(k, n), n, n) for n in range(1, k))
 
 
-def cyclic_relations(k):
+def cyclic_relations(k, numeric=False):
     """The weight-k cyclic sum formula, one relation per word w of weight
     k and depth below k, as in `sum_formula_relations`: the degree in t is
     at most the depth of w.  Both sides sum over the rotations of w, so
@@ -285,12 +310,13 @@ def cyclic_relations(k):
     yield one sides object, built when the first of them is reached.  The
     weight is checked at once."""
     _check_weight(k)
+    build = cyclic_sides if numeric else _cyclic_graded
     sides = {}  # least rotation -> that class's sides
 
     def relation(w):
         key = min(_rotations(w))
         if key not in sides:
-            sides[key] = cyclic_sides(w)
+            sides[key] = build(w)
         return f"k={k} word={w}", sides[key], w.depth + 1, key
 
     return (relation(w) for w in words_of_weight(k) if w.depth < k)

@@ -280,3 +280,26 @@ def cyclic_relation_parts(w, alpha):
                 _add(part, u, scale * c)
         shifted.append(part)
     return shifted
+
+
+def sum_formula_relation_parts(k, n, alpha):
+    """Closed form of the parts in (t - alpha)^0, ..., (t - alpha)^(n-1) of
+    the interpolated sum formula of weight k and depth n, S^t(sum of the
+    admissible words of weight k and depth n) - z_k sum_poly(k, n), as
+    {letter tuple: Fraction} dicts.
+
+    Its t^j part is C(k-n+j-1, j) (sum of the admissible words of depth
+    n - j, minus z_k), and the (t - alpha)^m part is
+    sum_j C(j, m) alpha^(j - m) C(k-n+j-1, j) (that sum minus z_k)."""
+    words = [v for v in compositions(k) if v[0] >= 2]
+    shifted = []
+    for m in range(n):
+        part = {}
+        for j in range(m, n):
+            scale = comb(j, m) * alpha ** (j - m) * comb(k - n + j - 1, j)  # 0^0 = 1
+            for v in words if scale else ():
+                if len(v) == n - j:
+                    _add(part, v, scale)
+            _add(part, (k,), -scale)
+        shifted.append(part)
+    return shifted

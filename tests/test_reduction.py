@@ -20,7 +20,13 @@ from izeta.reduction import (
     verify_sf_reduction,
 )
 
-from helpers import compositions, cyclic_merges, cyclic_relation_parts, words_up_to_weight
+from helpers import (
+    compositions,
+    cyclic_merges,
+    cyclic_relation_parts,
+    sum_formula_relation_parts,
+    words_up_to_weight,
+)
 
 
 def w(*letters):
@@ -31,6 +37,14 @@ def test_scalar_multiple_of_single_generator():
     g = w(2, 1) - w(3)
     cert = span_membership(2 * g, [g])
     assert cert.success and cert.coefficients == [Fraction(2)]
+    assert cert.verify()
+
+
+def test_span_membership_reads_a_one_shot_iterable_of_generators_once():
+    g0, g1 = w(2, 1) - w(3), w(4)
+    cert = span_membership(2 * g0 + g1, (g for g in [g0, g1]))
+    assert cert.generators == [g0, g1]
+    assert cert.coefficients == [Fraction(2), Fraction(1)]
     assert cert.verify()
 
 
@@ -192,6 +206,23 @@ def test_sum_formula_certificates_follow_the_closed_form(k):
         assert cert.coefficients == expected, cert.label
 
 
+@pytest.mark.parametrize("k", range(2, 10))
+def test_sum_formula_certificate_targets_follow_the_closed_form_at_negative_alpha(k):
+    # A negative non-integer alpha = p/q tests the sign of p and the
+    # q^(d-j) scaling of the integer Taylor shift; the oracle re-expands
+    # the binomial closed form of the t^j parts over plain tuples.
+    alpha = Fraction(-2, 3)
+    certs = verify_sf_reduction(k, alpha)
+    assert len(certs) == k * (k - 1) // 2
+    expected = {n: sum_formula_relation_parts(k, n, alpha) for n in range(1, k)}
+    for cert in certs:
+        n, power = (int(part.split("=")[1]) for part in cert.label.split()[2:])
+        found = {tuple(u): p.constant() for u, p in cert.target.terms.items()}
+        assert cert.target.is_t_free(), cert.label
+        assert found == expected[n][power], cert.label
+        assert cert.success and cert.verify(), cert.label
+
+
 def _cyclic_label(cert):
     """(k, word as a letter tuple, power) from a cyclic certificate label."""
     fields = dict(part.split("=") for part in cert.label.split()[1:])
@@ -203,7 +234,8 @@ def _cyclic_label(cert):
     "k, alpha",
     [(k, 0) for k in range(2, 10)]
     + [(k, alpha) for alpha in (Fraction(1, 2), 1) for k in range(2, 8)]
-    + [(10, 0)],
+    + [(10, 0)]
+    + [(k, Fraction(-2, 3)) for k in range(2, 7)],
 )
 def test_cyclic_certificate_targets_follow_the_closed_form(k, alpha):
     # The t^j part of a word's relation is the classical formula summed over
@@ -328,11 +360,15 @@ def test_verify_certificates_converts_each_shared_generator_once(monkeypatch):
 
 
 def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
+    # The certify path runs in integers: graded sides, integer Taylor parts
+    # and integer solves.  Those are the seams counted; no formal sum is
+    # converted to integers while certifying.
     calls = Counter()
     for owner, name in [
-        (reduction, "cyclic_sides"),
-        (reduction, "taylor_shift"),
-        (SpanSolver, "coefficients_for"),
+        (reduction, "_cyclic_graded"),
+        (reduction, "_taylor_parts"),
+        (SpanSolver, "_coefficients"),
+        (reduction, "_integer_form"),
     ]:
         call = getattr(owner, name)
         monkeypatch.setattr(
@@ -345,7 +381,7 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
     certs = verify_csf_reduction(8)
     assert (len(words), len(classes), len(certs)) == (127, 34, 695)
     parts = sum(len(v) + 1 for v in classes)
-    assert calls == {"cyclic_sides": 34, "taylor_shift": 34, "coefficients_for": parts}
+    assert calls == {"_cyclic_graded": 34, "_taylor_parts": 34, "_coefficients": parts}
     assert parts == 170
     # the certificates of one class share their target and coefficients
     by_label = {c.label: c for c in certs}
@@ -355,7 +391,9 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
     # no two sum-formula relations share a key
     calls.clear()
     assert len(verify_sf_reduction(11)) == 55
-    assert calls == {"taylor_shift": 10, "coefficients_for": 55}
+    assert calls == {"_taylor_parts": 10, "_coefficients": 55}
+    # the verifier still reads its integers off the formal sums
+    assert all(verify_certificates(certs)) and calls["_integer_form"] > 0
 
 
 @pytest.mark.parametrize("coefficients", [[2, 0, 99], [2, 0, 0], [2], []])
