@@ -8,11 +8,18 @@ family of products joining them.  All three run one quasi-shuffle
 recursion (`_quasi_shuffle`) and differ only in the coefficients of its
 two overlap terms: (merge, circ) = (1, none) for the harmonic product,
 (-1, none) for the star product and (1 - 2t, t^2 - t) for the t-product.
+A product of two sums adds the memoised word products up in plain
+{word: {degree: coefficient}} dicts and builds one RatPoly per word of
+the result (`_graded_sum`); `substitute_t` and `interpolate.s_alpha` add
+up integers over one denominator and build one RatPoly per distinct value
+(`_t_free_sum`).
 
 Everything is exact: coefficients are ints or :class:`fractions.Fraction`,
-never floats.  Values are immutable once constructed.  The module-level
-product caches rely on the GIL's atomic dict operations, so shared use
-across threads is safe (at worst a value is computed twice).
+never floats.  Values are immutable once constructed, so one RatPoly may
+be the coefficient of many words, and no operation changes a coefficient
+it was given.  The module-level product caches rely on the GIL's atomic
+dict operations, so shared use across threads is safe (at worst a value
+is computed twice).
 
 Every result is in normal form: words have positive int letters, and
 polynomials have int exponents >= 0 and nonzero int or Fraction
@@ -401,6 +408,29 @@ def _add_into(out, terms):
             del out[w]
 
 
+def _graded_sum(graded):
+    """The formal sum of {word: {degree: coefficient}}, zeros dropped."""
+    terms = {}
+    for u, acc in graded.items():
+        if p := {deg: x for deg, x in acc.items() if x}:
+            # memo words are Words already; the recursion builds tuples
+            terms[u if type(u) is Word else _word(u)] = _poly(p)
+    return _normal_sum(terms)
+
+
+def _t_free_sum(den, vec):
+    """The t-free formal sum of {word: integer} over den, zeros dropped:
+    one RatPoly per distinct value, shared by the words that take it, its
+    coefficient an int when den is 1 and a Fraction otherwise."""
+    shared, terms = {}, {}
+    for w, x in vec.items():
+        if x:
+            if (p := shared.get(x)) is None:
+                p = shared[x] = _poly({0: Fraction(x, den) if den > 1 else x})
+            terms[w if type(w) is Word else _word(w)] = p
+    return _normal_sum(terms)
+
+
 def as_sum(x):
     """Coerce a Word into the corresponding one-term FormalSum."""
     if isinstance(x, FormalSum):
@@ -450,9 +480,7 @@ def substitute_t(e, alpha):
     """Evaluate every coefficient of e at t = alpha (exact rational)."""
     e = as_sum(e)
     den, values = _at_alpha(_as_exact(alpha), ((p, 1) for p in e.terms.values()))
-    return _normal_sum(
-        {w: _poly({0: Fraction(v, den)}) for w, (v,) in zip(e.terms, values) if v}
-    )
+    return _t_free_sum(den, {w: v for w, (v,) in zip(e.terms, values)})
 
 
 def circle(a, b):
@@ -523,13 +551,18 @@ _t_harmonic_ww = _quasi_shuffle(RatPoly({0: 1, 1: -2}), RatPoly({1: -1, 2: 1}))
 
 
 def _bilinear(word_product, e1, e2):
+    """The product of two sums, the memoised word products added up in
+    {word: {degree: coefficient}}: one RatPoly per word of the result."""
     out = {}
     for w1, c1 in as_sum(e1).terms.items():
         for w2, c2 in as_sum(e2).terms.items():
-            c12 = c1 * c2
-            product = word_product(w1, w2).terms.items()
-            _add_into(out, ((w, c12 * c) for w, c in product))
-    return _normal_sum(out)
+            c12 = (c1 * c2).coeffs
+            for w, c in word_product(w1, w2).terms.items():
+                acc = out.setdefault(w, {})
+                for d, x in c.coeffs.items():
+                    for d12, x12 in c12.items():
+                        acc[d + d12] = acc.get(d + d12, 0) + x * x12
+    return _graded_sum(out)
 
 
 def harmonic_product(e1, e2):

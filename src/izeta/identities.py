@@ -22,6 +22,7 @@ from .algebra import (
     Index,
     RatPoly,
     Word,
+    _graded_sum,
     _poly,
     _word,
     as_sum,
@@ -30,7 +31,7 @@ from .algebra import (
     t_harmonic_product,
     word_linear,
 )
-from .interpolate import _graded_sum, _s_t_graded, _s_t_word, s_poly, s_t
+from .interpolate import _s_t_graded, _s_t_word, s_poly, s_t
 
 
 def words_of_weight(k):

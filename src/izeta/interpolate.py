@@ -15,19 +15,21 @@ contraction u of w carries t^sigma with sigma = len(w) - len(u), its
 number of merges.  `s_t` runs the recursion once on the whole sum:
 terms are grouped by first letter, and a group in which two tails start
 with the same letter recurses on its tails as one sum, so that equal
-words merge at every level.  Any other group (a single word, say) reads
-the memo and shifts degrees by sigma.  `s_alpha` multiplies by
-alpha^sigma in integers over one common denominator; `s_poly` multiplies
-by param^sigma, each power computed once per call.
+words merge at every level.  Any other group (a single word, or the
+unit, say) reads the memo and shifts degrees by sigma.  `s_alpha`
+multiplies by alpha^sigma in integers over one common denominator;
+`s_poly` multiplies by param^sigma, each power computed once per call.
 
 The recursion's graded form {word: {degree: coefficient}} is also what
 the identities are stated in and what the reduction certificates read:
-`_graded_sum` turns it into a formal sum, and `_taylor_parts` takes the
-(t - alpha)^m parts of one graded side, or of the difference of two,
-split by degree and re-expanded about alpha = p/q by Horner's rule in
-integers, each part left as integers over q^(d-m).  `taylor_shift` is
-those parts of one formal sum, as formal sums.  Results are built with
-the trusted constructors of `algebra` from the validated input.
+`algebra._graded_sum` turns it into a formal sum, and `_taylor_parts`
+takes the (t - alpha)^m parts of one graded side, or of the difference
+of two, split by degree and re-expanded about alpha = p/q by Horner's
+rule in integers, each part left as integers over q^(d-m).
+`taylor_shift` is those parts of one formal sum, built as formal sums
+by `algebra._t_free_sum`, as the certificate targets are.  Results are
+built with the trusted constructors of `algebra` from the validated
+input.
 `enumerate_contractions` reads the same expansion as explicit patterns,
 and so do `identities.words_of_weight`, `identities.sum_words` and
 `numeric.mzsv`.
@@ -36,7 +38,6 @@ and so do `identities.words_of_weight`, `identities.sum_words` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 
@@ -47,8 +48,9 @@ from .algebra import (
     Word,
     _as_exact,
     _at_alpha,
+    _graded_sum,
     _normal_sum,
-    _poly,
+    _t_free_sum,
     _word,
     as_sum,
     substitute_t,
@@ -116,18 +118,20 @@ def _s_t_graded(items):
     """The operator on the sum of the (word, {degree: coefficient}) pairs
     `items`, as {word: {degree: coefficient}} with zeros kept: the
     first-letter recursion run on the whole sum, so that equal words merge
-    at every level.  The terms are grouped by first letter.  A group whose
-    tails start with distinct letters (one word, or the unit, say) reads
-    each word's `_s_t_word` memo whole.  Any other group recurses once on
-    its tails, taken as one sum, then prepends its letter a at the same
-    degree and merges a into the head at degree + 1.  Words here may be
-    plain tuples, so the memo is called only with `_word`s: a tuple would
-    share the entry of the equal Word and could store tuples in it."""
+    at every level.  The terms are grouped by first letter.  The unit's
+    group, and any group whose tails start with distinct letters (one
+    word, say), read each word's `_s_t_word` memo whole; a word named
+    twice ends in a unit's group that names the unit twice, on which the
+    recursion would not end.  Any other group recurses once on its tails,
+    taken as one sum, then prepends its letter a at the same degree and
+    merges a into the head at degree + 1.  Words here may be plain
+    tuples, so the memo is called only with `_word`s: a tuple would share
+    the entry of the equal Word and could store tuples in it."""
     out, groups = {}, {}
     for w, c in items:
         groups.setdefault(w[:1], []).append((w, c))
     for head, group in groups.items():
-        if len(group) == 1 or len({w[1:2] for w, _ in group}) == len(group):
+        if not head or len(group) == 1 or len({w[1:2] for w, _ in group}) == len(group):
             for w, c in group:
                 w = _word(w)
                 for v in _s_t_word(w):
@@ -167,16 +171,6 @@ def s_poly(e, param):
     return _normal_sum({u: p for u, p in out.items() if p})
 
 
-def _graded_sum(graded):
-    """The formal sum of {word: {degree: coefficient}}, zeros dropped."""
-    terms = {}
-    for u, acc in graded.items():
-        if p := {deg: x for deg, x in acc.items() if x}:
-            # memo words are Words already; the recursion builds tuples
-            terms[u if type(u) is Word else _word(u)] = _poly(p)
-    return _normal_sum(terms)
-
-
 def s_t(e):
     """The interpolation operator itself (parameter t): each contraction
     with sigma merges shifts the degrees of its coefficient by sigma.
@@ -191,8 +185,8 @@ def s_alpha(e, alpha):
     alpha = 0 only the uncontracted words survive.
 
     The contributions are integers over one common denominator, so each
-    contraction costs one integer addition and each word of the result
-    one Fraction."""
+    contraction costs one integer addition and each distinct value of the
+    result one Fraction."""
     alpha = _as_exact(alpha)
     if not alpha:
         return substitute_t(e, 0)
@@ -204,7 +198,7 @@ def s_alpha(e, alpha):
             continue
         for u in _s_t_word(w):
             out[u] = out.get(u, 0) + v[len(w) - len(u)]
-    return _normal_sum({u: _poly({0: Fraction(x, den)}) for u, x in out.items() if x})
+    return _t_free_sum(den, out)
 
 
 def log_s(w: Word) -> FormalSum:
@@ -247,11 +241,6 @@ def _taylor_parts(sides, alpha, powers):
             for w, c in parts[j + 1].items():
                 parts[j][w] = parts[j].get(w, 0) + p * c
     return [(q ** (d - m), {w: x for w, x in part.items() if x}) for m, part in enumerate(parts)]
-
-
-def _t_free_sum(den, vec):
-    """The t-free formal sum of {word: coefficient} over den."""
-    return _graded_sum({w: {0: Fraction(x, den) if den > 1 else x} for w, x in vec.items()})
 
 
 def taylor_shift(e, alpha):

@@ -38,10 +38,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import FormalSum, _as_exact, as_sum
+from .algebra import FormalSum, _as_exact, _t_free_sum, as_sum
 from .identities import (_cyclic_graded, _rotations, _sum_formula_graded, cyclic_sides,
                          sum_formula_sides, words_of_weight)
-from .interpolate import _t_free_sum, _taylor_parts
+from .interpolate import _taylor_parts
 
 
 def _integer_form(e):

@@ -97,6 +97,68 @@ def quasi_shuffle(u, v, merge_sign):
     return out
 
 
+def _poly_times(p, q):
+    """Product of two {t exponent: coefficient} dicts, zeros kept."""
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def _add_poly(out, word, poly):
+    """out[word] += poly on a {letter tuple: {t exponent: coefficient}}
+    dict, zeros kept."""
+    acc = out.setdefault(word, {})
+    for e, c in poly.items():
+        acc[e] = acc.get(e, 0) + c
+
+
+def _without_zeros(graded):
+    """A {letter tuple: {t exponent: coefficient}} dict with every zero
+    coefficient and every word left without one dropped."""
+    out = {word: {e: c for e, c in poly.items() if c} for word, poly in graded.items()}
+    return {word: poly for word, poly in out.items() if poly}
+
+
+def t_quasi_shuffle(u, v):
+    """Reference t-product of two letter tuples over plain dicts.
+
+    The quasi-shuffle recursion a u' * b v' = a (u' * b v') + b (a u' * v')
+    + (1 - 2t) (a+b)(u' * v') + (t^2 - t) ((a+b) o (u' * v')), where
+    (a+b) o adds a+b to the first letter of each nonempty word.  Returns
+    {letter tuple: {t exponent: int}}.
+    """
+    if not u:
+        return {v: {0: 1}}
+    if not v:
+        return {u: {0: 1}}
+    a, b = u[0], v[0]
+    out = {}
+    for word, poly in t_quasi_shuffle(u[1:], v).items():
+        _add_poly(out, (a,) + word, poly)
+    for word, poly in t_quasi_shuffle(u, v[1:]).items():
+        _add_poly(out, (b,) + word, poly)
+    for word, poly in t_quasi_shuffle(u[1:], v[1:]).items():
+        _add_poly(out, (a + b,) + word, _poly_times({0: 1, 1: -2}, poly))
+        if word:
+            _add_poly(out, (a + b + word[0],) + word[1:], _poly_times({1: -1, 2: 1}, poly))
+    return _without_zeros(out)
+
+
+def product_of_sums(x, y, word_product):
+    """Bilinear extension of a word product over plain dicts: x and y are
+    {letter tuple: {t exponent: coefficient}}, and so are word_product(u, v)
+    and the result."""
+    out = {}
+    for u, p in x.items():
+        for v, q in y.items():
+            pq = _poly_times(p, q)
+            for word, r in word_product(u, v).items():
+                _add_poly(out, word, _poly_times(pq, r))
+    return _without_zeros(out)
+
+
 def dict_to_sum(d):
     """Lift a {letter tuple: multiplicity} dict into a FormalSum."""
     total = FormalSum.zero()

@@ -24,7 +24,14 @@ from izeta.algebra import (
     t_harmonic_product,
 )
 
-from helpers import dict_to_sum, quasi_shuffle, words_up_to_weight
+from helpers import (
+    assert_normal_form,
+    dict_to_sum,
+    product_of_sums,
+    quasi_shuffle,
+    t_quasi_shuffle,
+    words_up_to_weight,
+)
 
 ZERO = FormalSum.zero()
 ONE = FormalSum.unit()
@@ -371,6 +378,71 @@ def test_products_are_bilinear():
     assert lhs == harmonic_product(ea, ec) + 2 * harmonic_product(eb, ec)
     lhs = t_harmonic_product(ec, T * ea - eb)
     assert lhs == T * t_harmonic_product(ec, ea) - t_harmonic_product(ec, eb)
+
+
+# the three products as plain-dict word products, {letter tuple: {t exponent: int}}
+REFERENCE_PRODUCTS = {
+    harmonic_product: lambda u, v: {x: {0: m} for x, m in quasi_shuffle(u, v, +1).items()},
+    star_product: lambda u, v: {x: {0: m} for x, m in quasi_shuffle(u, v, -1).items()},
+    t_harmonic_product: t_quasi_shuffle,
+}
+
+# sums over {letter tuple: {t exponent: coefficient}}: Fraction coefficients,
+# several degrees, the unit word, and words that two products share
+PLAIN_SUMS = {
+    "z1-z2": {(1,): {0: 1}, (2,): {0: -1}},
+    "z1+z2": {(1,): {0: 1}, (2,): {0: 1}},
+    "fractions": {(2, 1): {0: Fraction(1, 2), 1: 3}, (1,): {2: Fraction(-2, 3)}, (3,): {0: 1}},
+    "unit-and-degrees": {
+        (): {0: Fraction(1, 2)},
+        (1, 1): {0: Fraction(-5, 4), 1: 1},
+        (2,): {0: 7},
+        (1, 2, 1): {1: Fraction(1, 3), 3: -2},
+    },
+}
+
+
+def as_plain(e):
+    return {word.letters: dict(poly.coeffs) for word, poly in e.items()}
+
+
+def lift(terms):
+    return FormalSum({Word(u): RatPoly(poly) for u, poly in terms.items()})
+
+
+def test_the_plain_t_product_specializes_to_both_classical_products():
+    for u in words_up_to_weight(4):
+        for v in words_up_to_weight(3):
+            ref = t_quasi_shuffle(u.letters, v.letters)
+            for t, sign in ((0, +1), (1, -1)):
+                at_t = {x: sum(c * t**e for e, c in poly.items()) for x, poly in ref.items()}
+                assert {x: c for x, c in at_t.items() if c} == quasi_shuffle(u.letters, v.letters, sign)
+
+
+@pytest.mark.parametrize("product", list(REFERENCE_PRODUCTS), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("left", sorted(PLAIN_SUMS))
+@pytest.mark.parametrize("right", sorted(PLAIN_SUMS))
+def test_products_of_sums_match_the_plain_dict_expansion(product, left, right):
+    x, y = PLAIN_SUMS[left], PLAIN_SUMS[right]
+    got = product(lift(x), lift(y))
+    assert_normal_form(got)
+    assert as_plain(got) == product_of_sums(x, y, REFERENCE_PRODUCTS[product])
+
+
+@pytest.mark.parametrize("product", list(REFERENCE_PRODUCTS), ids=lambda f: f.__name__)
+def test_words_cancel_inside_a_product_of_sums(product):
+    # ([1] - [2]) * ([1] + [2]): the words [1,2], [2,1] and [3] of
+    # [1] * [2] and of -[2] * [1] cancel
+    got = product(w(1) - w(2), w(1) + w(2))
+    assert_normal_form(got)
+    merge = {harmonic_product: {0: 1}, star_product: {0: -1}, t_harmonic_product: {0: 1, 1: -2}}
+    expected = {
+        (1, 1): {0: 2},
+        (2,): merge[product],
+        (2, 2): {0: -2},
+        (4,): {e: -c for e, c in merge[product].items()},
+    }
+    assert as_plain(got) == expected
 
 
 @pytest.mark.parametrize(

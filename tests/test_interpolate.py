@@ -17,6 +17,7 @@ from izeta.algebra import (
     t_harmonic_product,
 )
 from izeta.interpolate import (
+    _s_t_graded,
     _s_t_word,
     d_dt,
     enumerate_contractions,
@@ -382,6 +383,19 @@ def test_s_t_of_a_whole_sum_matches_brute_force(name):
         for i in range(len(letters)):
             image = _s_t_word(Word(letters[i:]))
             assert type(image) is tuple and all(type(u) is Word for u in image)
+
+
+def test_the_graded_recursion_adds_a_word_named_twice():
+    # the equal tails meet again in one group down to the unit, which
+    # must read the memo rather than recurse on itself
+    got = _s_t_graded([((1, 2), {0: 1}), ((1, 2), {0: 1})])
+    once = interpolation_by_recursion((1, 2))
+    assert {tuple(u): p for u, p in got.items()} == {
+        u: {e: 2 * c for e, c in p.items()} for u, p in once.items()
+    }
+    got = _s_t_graded([((), {0: 1}), ((2, 1, 1), {1: 3}), ((), {2: 1}), ((2, 1, 1), {0: 1})])
+    expected = brute_s_t({(): {0: 1, 2: 1}, (2, 1, 1): {0: 1, 1: 3}})
+    assert {tuple(u): {e: c for e, c in p.items() if c} for u, p in got.items()} == expected
 
 
 @pytest.mark.parametrize(

@@ -154,3 +154,32 @@ def test_evaluate_returns_a_fraction():
     for p in (RatPoly(0), RatPoly(2), T, 1 - T):
         assert type(p.evaluate(Fraction(1, 2))) is Fraction
         assert type(p.evaluate(3)) is Fraction
+
+
+def test_shared_coefficients_are_never_mutated():
+    # s_alpha gives all words of one value one shared RatPoly: here the
+    # three words of [1,1,1,1] with one merge share 1/2, and those of
+    # [2,1,1] at -1 share the ints 1 and -1
+    x = s_alpha(w(1, 1, 1, 1), Fraction(1, 2))
+    y = s_alpha(w(2, 1, 1), -1) + x + T * w(2, 2) - (1 - T) * w(1, 1)
+    for e in (x, y):
+        assert len({id(p) for p in e.terms.values()}) < len(e)
+    # each input with its terms dict and a copy of every coefficient dict
+    copies = [(e, dict(e.terms), [dict(p.coeffs) for p in e.terms.values()]) for e in (x, y)]
+    for e in (x, y):
+        s_t(e)
+        for alpha in (0, -2, Fraction(1, 2)):
+            s_alpha(e, alpha)
+            substitute_t(e, alpha)
+            taylor_shift(e, alpha)
+        for f in (x, y):
+            for product in PRODUCTS:
+                product(e, f)
+            e + f
+            e - f
+        for scalar in (3, Fraction(-1, 2), 1 - T):
+            e * scalar
+    for e, terms, coeffs in copies:
+        assert e.terms.keys() == terms.keys()
+        assert all(e.terms[u] is p for u, p in terms.items())
+        assert [p.coeffs for p in terms.values()] == coeffs
