@@ -12,7 +12,6 @@ formal sums that the numeric checks evaluate."""
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb
@@ -40,7 +39,7 @@ def words_of_weight(k):
     backwards."""
     if k < 1:
         raise ValueError("weight must be positive")
-    return list(reversed(_s_t_word(_word((1,) * k))))
+    return list(reversed(_s_t_word((1,) * k)))
 
 
 def sum_words(k, n):
@@ -59,7 +58,7 @@ def _sum_families(k):
     its contractions with k-1-n merges, and the expansion lists its words
     in colexicographic order.  Only the latest weight is kept."""
     families = {}
-    for u in _s_t_word(_word((2,) + (1,) * (k - 2))):
+    for u in _s_t_word((2,) + (1,) * (k - 2)):
         families.setdefault(len(u), []).append(u)
     return families
 
@@ -79,8 +78,9 @@ def sum_poly(k, n):
 
 
 def _s_t_of_words(words):
-    """S^t of the sum of `words`, each with coefficient 1, graded."""
-    return _s_t_graded([(u, {0: m}) for u, m in Counter(words).items()])
+    """S^t of the sum of `words`, each with coefficient 1, graded; a word
+    named twice counts twice."""
+    return _s_t_graded([(u, {0: 1}) for u in words])
 
 
 def _sum_formula_graded(k, n):

@@ -10,15 +10,16 @@ The operator comes from the first-letter recursion
 S(a u) = a S(u) + t (a o S(u)), where a o merges the letter a into the
 head of each word (Hoffman, *Quasi-shuffle products*, J. Algebraic
 Combin. 11 (2000)).  One word's image is memoised on the tail u; its
-2^(n-1) words are distinct, and the memo keeps just those words: a
+2^(n-1) words are distinct, and the memo keeps just those words, as
+Words whether it is called with a Word, an Index or a plain tuple: a
 contraction u of w carries t^sigma with sigma = len(w) - len(u), its
 number of merges.  `s_t` runs the recursion once on the whole sum:
-terms are grouped by first letter, and a group in which two tails start
-with the same letter recurses on its tails as one sum, so that equal
-words merge at every level.  Any other group (a single word, or the
-unit, say) reads the memo and shifts degrees by sigma.  `s_alpha`
-multiplies by alpha^sigma in integers over one common denominator;
-`s_poly` multiplies by param^sigma, each power computed once per call.
+terms are grouped by first letter, and a group of two or more terms
+recurses on its tails as one sum, so that equal words merge at every
+level.  The unit's group and a group of one word read the memo and
+shift degrees by sigma.  `s_alpha` multiplies by alpha^sigma in
+integers over one common denominator; `s_poly` multiplies by
+param^sigma, each power computed once per call.
 
 The recursion's graded form {word: {degree: coefficient}} is also what
 the identities are stated in and what the reduction certificates read:
@@ -53,7 +54,6 @@ from .algebra import (
     _t_free_sum,
     _word,
     as_sum,
-    substitute_t,
 )
 
 
@@ -90,8 +90,7 @@ def enumerate_contractions(w):
         raise ValueError("unit has no contractions")
     mark = {s: i for i, s in enumerate(accumulate(w), 1)}  # partial sum -> mark
     out = []
-    # as a Word: an Index would key the memo table by an Index
-    for u in _s_t_word(_word(w)):
+    for u in _s_t_word(w):
         marks = (0, *(mark[s] for s in accumulate(u)))
         out.append((Contraction(marks, len(w) - len(u)), u))
     # ascending marks is ascending bitmask: the first gap where two
@@ -100,16 +99,18 @@ def enumerate_contractions(w):
 
 
 @cache
-def _s_t_word(w: Word) -> tuple[Word, ...]:
+def _s_t_word(w) -> tuple[Word, ...]:
     """The words of the operator's image of one word, by the first-letter
     recursion.  Distinct contraction patterns give distinct words (a
     word's partial sums determine it), so the image is these words, each
-    u with coefficient t^(len(w) - len(u))."""
+    u with coefficient t^(len(w) - len(u)).  `w` may be a Word, an Index
+    or a plain tuple of letters; the image holds Words whichever of them
+    is the first to reach the memo."""
     if len(w) <= 1:
-        return (w,)
+        return (_word(w),)
     a = w[0]
     out = []
-    for u in _s_t_word(_word(w[1:])):
+    for u in _s_t_word(w[1:]):
         out += (_word((a,) + u), _word((a + u[0],) + u[1:]))
     return tuple(out)
 
@@ -119,21 +120,16 @@ def _s_t_graded(items):
     `items`, as {word: {degree: coefficient}} with zeros kept: the
     first-letter recursion run on the whole sum, so that equal words merge
     at every level.  The terms are grouped by first letter.  The unit's
-    group, and any group whose tails start with distinct letters (one
-    word, say), read each word's `_s_t_word` memo whole; a word named
-    twice ends in a unit's group that names the unit twice, on which the
-    recursion would not end.  Any other group recurses once on its tails,
-    taken as one sum, then prepends its letter a at the same degree and
-    merges a into the head at degree + 1.  Words here may be plain
-    tuples, so the memo is called only with `_word`s: a tuple would share
-    the entry of the equal Word and could store tuples in it."""
+    group and a group of one word read each word's `_s_t_word` memo
+    whole.  Any other group recurses once on its tails, taken as one sum,
+    then prepends its letter a at the same degree and merges a into the
+    head at degree + 1."""
     out, groups = {}, {}
     for w, c in items:
         groups.setdefault(w[:1], []).append((w, c))
     for head, group in groups.items():
-        if not head or len(group) == 1 or len({w[1:2] for w, _ in group}) == len(group):
+        if not head or len(group) == 1:
             for w, c in group:
-                w = _word(w)
                 for v in _s_t_word(w):
                     sigma = len(w) - len(v)
                     acc = out.setdefault(v, {})
@@ -182,14 +178,13 @@ def s_alpha(e, alpha):
     """The operator at an exact rational parameter value, equal to s_t
     followed by substitution of alpha for t: a term c(t) w contributes
     c(alpha) alpha^sigma to each contraction of w with sigma merges.  At
-    alpha = 0 only the uncontracted words survive.
+    alpha = 0 a contracted word gets 0^sigma = 0, so only the uncontracted
+    words survive.
 
     The contributions are integers over one common denominator, so each
     contraction costs one integer addition and each distinct value of the
     result one Fraction."""
     alpha = _as_exact(alpha)
-    if not alpha:
-        return substitute_t(e, 0)
     e = as_sum(e)
     den, values = _at_alpha(alpha, ((c, max(w.depth, 1)) for w, c in e.terms.items()))
     out = {}
@@ -263,7 +258,7 @@ def index_expansions(idx):
     This is the expansion underlying the interpolated zeta values: each
     gap of the index is either kept (comma) or summed through (plus).
     """
-    for u in _s_t_word(idx.to_word()):
+    for u in _s_t_word(idx):
         yield Index(u), len(idx) - len(u)
 
 

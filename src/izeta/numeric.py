@@ -203,7 +203,7 @@ def mzsv(idx, M):
     """Non-strict (star) variant of :func:`mzv`: the sum of the strict
     values of all contractions of the index."""
     idx = _checked_index(idx, M)
-    coeffs = dict.fromkeys(_s_t_word(idx.to_word()), 1)
+    coeffs = dict.fromkeys(_s_t_word(idx), 1)
     return _result(1, coeffs, M, f"zeta*({idx})")
 
 

@@ -7,6 +7,9 @@ import pytest
 
 from izeta.algebra import FormalSum, Index, RatPoly, T, Word, harmonic_product
 from izeta.identities import (
+    _raised,
+    _s_t_of_words,
+    _split,
     alt_sum,
     csf_generator,
     csf_generator_linear,
@@ -22,7 +25,12 @@ from izeta.identities import (
 )
 from izeta.interpolate import d_dt, s_alpha, s_t
 
-from helpers import compositions, split_bitmask_words, words_up_to_weight
+from helpers import (
+    compositions,
+    merge_bitmask_contractions,
+    split_bitmask_words,
+    words_up_to_weight,
+)
 
 
 def w(*letters):
@@ -150,6 +158,24 @@ def test_cyclic_merge_examples():
     assert cyclic_delta(Word((1, 1))) == 2 * w(2)
     with pytest.raises(ValueError, match="delta undefined"):
         cyclic_delta(Word((4,)))
+
+
+@pytest.mark.parametrize("letters", [(1, 2, 1, 2), (2, 2), (2, 1, 2, 1, 2, 1)])
+def test_s_t_of_the_split_and_raised_words_of_a_periodic_word(letters):
+    # a periodic word names each rotation, and so each raised and each
+    # split word, more than once; S^t adds them up
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))]
+    raised = [(r[0] + 1,) + r[1:] for r in rotations]
+    split = [(r[0] + 1 - j,) + r[1:] + (j,) for r in rotations for j in range(1, r[0])]
+    for words, named in ((raised, _raised(letters)), (split, _split(letters))):
+        assert len(set(words)) < len(words)
+        expected = {}
+        for v in words:
+            for _, sigma, blocks in merge_bitmask_contractions(v):
+                acc = expected.setdefault(blocks, {})
+                acc[sigma] = acc.get(sigma, 0) + 1
+        got = _s_t_of_words(named)
+        assert {tuple(u): {e: c for e, c in p.items() if c} for u, p in got.items()} == expected
 
 
 def test_cyclic_operators_preserve_total_weight_plus_one():

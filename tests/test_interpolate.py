@@ -398,6 +398,57 @@ def test_the_graded_recursion_adds_a_word_named_twice():
     assert {tuple(u): {e: c for e, c in p.items() if c} for u, p in got.items()} == expected
 
 
+def brute_s_t_of_list(items):
+    """S^t of the sum of the (letter tuple, {t exponent: coefficient})
+    pairs `items`, a word possibly named more than once, over the
+    brute-force contractions of `merge_bitmask_contractions`."""
+    out = {}
+    for letters, poly in items:
+        image = merge_bitmask_contractions(letters) if letters else [((0,), 0, ())]
+        for _, sigma, blocks in image:
+            acc = out.setdefault(blocks, {})
+            for e, c in poly.items():
+                acc[e + sigma] = acc.get(e + sigma, 0) + c
+    out = {word: {e: c for e, c in p.items() if c} for word, p in out.items()}
+    return {word: p for word, p in out.items() if p}
+
+
+# sums listed term by term: a word named twice reaches the unit's group
+# twice, and tails with distinct second letters recurse as one group
+LISTED_SUMS = {
+    "alone": [((2, 1, 1), {0: 1}), ((2, 1, 1), {0: 1})],
+    "among-shared-prefixes": [
+        ((2, 1, 1), {0: 1}), ((2, 1, 3), {1: -2}), ((2, 1, 1), {0: 3, 2: 1}),
+        ((2, 2), {0: 5}), ((1,), {0: 1}), ((), {1: 1}), ((1, 2), {0: 1}),
+        ((1, 3), {0: Fraction(-1, 2)}), ((), {0: 2}), ((1,), {3: 1}),
+    ],
+    "distinct-second-letters": [((1, 2), {0: 1}), ((1, 3), {1: 1}), ((1, 4, 1), {0: 2})],
+}
+
+
+@pytest.mark.parametrize("name", sorted(LISTED_SUMS))
+def test_the_graded_recursion_matches_brute_force_on_listed_sums(name):
+    items = LISTED_SUMS[name]
+    got = {tuple(u): {e: c for e, c in p.items() if c} for u, p in _s_t_graded(items).items()}
+    assert {u: p for u, p in got.items() if p} == brute_s_t_of_list(items)
+
+
+@pytest.mark.parametrize(
+    "make, letters",
+    [(tuple, ()), (tuple, (3,)), (tuple, (2, 1, 3, 1)), (Index, (3,)), (Index, (2, 1, 3, 1))],
+)
+def test_the_memo_stores_words_whatever_it_is_called_with(make, letters):
+    _s_t_word.cache_clear()
+    first = _s_t_word(make(letters))
+    later = _s_t_word(Word(letters))
+    assert later is first  # the entry the first call stored
+    expected = [blocks for _, _, blocks in merge_bitmask_contractions(letters)] if letters else [()]
+    assert sorted(first) == sorted(expected)
+    for i in range(len(letters) + 1):
+        image = _s_t_word(Word(letters[i:]))
+        assert type(image) is tuple and all(type(u) is Word for u in image), letters[i:]
+
+
 @pytest.mark.parametrize(
     "param",
     [{0: 1, 1: -1}, {2: 1}, {0: Fraction(3, 2)}, {}],
@@ -463,6 +514,37 @@ def test_s_alpha_drops_a_word_whose_image_cancels(alpha):
         assert_normal_form(got)
         assert Word((2,)) not in got.terms
         assert as_constants(got) == brute_s_alpha(terms, alpha) == {(1, 1): 1}
+
+
+# s_alpha at 0 against substitute_t at 0: a sum over mixed denominators
+# with a coefficient that vanishes at 0, and an integer sum whose words
+# are contractions of each other, the unit among them
+AT_ZERO = {
+    "mixed-denominators": MIXED_DENOMINATORS,
+    "integers": {
+        (1, 1): {0: 1}, (2,): {0: -3, 1: 2}, (1, 1, 1): {1: 4}, (2, 1): {0: 2},
+        (): {0: 5}, (3,): {0: 7},
+    },
+    "zero": {},
+}
+
+
+@pytest.mark.parametrize("name", sorted(AT_ZERO))
+@pytest.mark.parametrize("zero", [0, Fraction(0)], ids=["int", "Fraction"])
+def test_s_alpha_at_zero_is_substitution_at_zero(name, zero):
+    terms = AT_ZERO[name]
+    e = dictpoly_to_sum(terms)
+    got, expected = s_alpha(e, zero), substitute_t(e, 0)
+    assert_normal_form(got)
+    # term by term, with the same coefficient types: Fractions as soon as
+    # any coefficient of e has a denominator above 1, ints otherwise
+    fractional = any(Fraction(c).denominator > 1 for p in terms.values() for c in p.values())
+    kind = Fraction if fractional else int
+    assert {u: [(type(c), c) for c in p.coeffs.values()] for u, p in got.terms.items()} == {
+        u: [(type(c), c) for c in p.coeffs.values()] for u, p in expected.terms.items()
+    }
+    assert all(type(p.constant()) is kind for p in got.terms.values())
+    assert as_constants(got) == brute_substitute(terms, 0)
 
 
 @pytest.mark.parametrize("alpha", INTEGER_AND_TALL_ALPHAS)

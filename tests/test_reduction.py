@@ -288,6 +288,51 @@ def test_verify_accepts_the_closed_form_cyclic_coefficients(k):
     assert moved and not any(verify_certificates(moved))
 
 
+# The coefficients do not depend on alpha.  The t^j part of a relation is
+# the sum of its relations' values over the merges of j of its gaps (J), so
+# writing t^|J| = ((t - alpha) + alpha)^|J| and splitting J into J1 and J2
+# makes the (t - alpha)^m part the sum over the m-gap merges J1 of their
+# relations at t = alpha, which are generators: S^a S^b = S^(a+b) on the
+# gaps.  Generators of distinct classes are independent, so the solver's
+# coefficients are these, one unit per merge on the first relation of the
+# merged word's class.
+NONZERO_ALPHAS = [Fraction(1, 2), Fraction(-2, 3), 3]
+
+
+@pytest.mark.parametrize("alpha", NONZERO_ALPHAS, ids=str)
+def test_cyclic_certificate_coefficients_follow_the_alpha_free_closed_form(alpha):
+    for k in range(2, 9):
+        certs = verify_csf_reduction(k, alpha)
+        relations = [word for _, word, power in map(_cyclic_label, certs) if power == 0]
+        first = {}  # least rotation -> index of the first relation of its class
+        for i, v in enumerate(relations):
+            first.setdefault(_least_rotation(v), i)
+        for cert in certs:
+            _, word, power = _cyclic_label(cert)
+            expected = [0] * len(relations)
+            for v in cyclic_merges(word, power) if power < len(word) else []:
+                expected[first[_least_rotation(v)]] += 1
+            assert cert.coefficients == expected, cert.label
+
+
+@pytest.mark.parametrize("alpha", NONZERO_ALPHAS, ids=str)
+def test_sum_formula_certificate_coefficients_follow_the_alpha_free_closed_form(alpha):
+    # C(j, m) C(a + j, j) = C(a + m, m) C(a + j, j - m), a = k - n - 1: the
+    # (t - alpha)^m part of the depth-n relation is C(k-n+m-1, m) times the
+    # relation of depth n - m at alpha, and generator 1 is z_k - z_k = 0
+    for k in range(2, 12):
+        for cert in verify_sf_reduction(k, alpha):
+            n, m = (int(part.split("=")[1]) for part in cert.label.split()[2:])
+            expected = [0] * (k - 1)
+            if n - m >= 2:
+                expected[n - m - 1] = comb(k - n + m - 1, m)
+            assert cert.coefficients == expected, cert.label
+
+
+def _least_rotation(v):
+    return min(v[i:] + v[:i] for i in range(len(v)))
+
+
 @pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(-2, 3)])
 def test_reductions_certify_at_non_integer_alpha(alpha):
     certs = verify_csf_reduction(6, alpha) + verify_sf_reduction(9, alpha)
