@@ -2,36 +2,45 @@
 
 Words are noncommutative monomials z_{k1}...z_{kn} in letters indexed by
 positive integers; a letter is represented by its subscript.  Formal sums
-carry coefficients in Q[t] (:class:`RatPoly`), so one representation covers
-the harmonic (stuffle) product, the star variant, and the one-parameter
-family of products joining them.  All three run one quasi-shuffle
-recursion (`_quasi_shuffle`) and differ only in the coefficients of its
-two overlap terms: (merge, circ) = (1, none) for the harmonic product,
-(-1, none) for the star product and (1 - 2t, t^2 - t) for the t-product.
-A product of two sums adds the memoised word products up in plain
-{word: {degree: coefficient}} dicts and builds one RatPoly per word of
-the result (`_graded_sum`); `substitute_t` and `interpolate.s_alpha` add
-up integers over one denominator and build one RatPoly per distinct value
-(`_t_free_sum`).
+carry coefficients in Q[t], so one representation covers the harmonic
+(stuffle) product, the star variant, and the one-parameter family of
+products joining them.  All three run one quasi-shuffle recursion
+(`_quasi_shuffle`) and differ only in the coefficients of its two overlap
+terms: (merge, circ) = (1, none) for the harmonic product, (-1, none) for
+the star product and (1 - 2t, t^2 - t) for the t-product.
+
+A formal sum stores one exact form: a positive denominator and, for each
+word, its coefficient times that denominator as {degree in t: int}.  The
+products, `substitute_t` and the operator in `interpolate` read and write
+those integers: a product adds the memoised word products up over the
+product of the two denominators, and a substitution evaluates each
+integer polynomial once per dict over one common denominator.  Results
+are reduced (`_reduced`, `_t_free_sum`), so that equal sums store equal
+data and == and hash are dict operations.  :class:`RatPoly`, the
+public coefficient type, is built only when a sum is read: `terms`,
+`items()`, `coefficient()` and `str`.
 
 Everything is exact: coefficients are ints or :class:`fractions.Fraction`,
-never floats.  Values are immutable once constructed, so one RatPoly may
-be the coefficient of many words, and no operation changes a coefficient
-it was given.  The module-level product caches rely on the GIL's atomic
-dict operations, so shared use across threads is safe (at worst a value
-is computed twice).
+never floats.  Values are immutable once constructed: a stored dict may
+be the coefficient of many words, of many sums and of a memo entry, and no
+operation changes a dict once stored.  The module-level product caches
+rely on the GIL's atomic dict operations, so shared use across threads is
+safe (at worst a value is computed twice).
 
 Every result is in normal form: words have positive int letters, and
-polynomials have int exponents >= 0 and nonzero int or Fraction
-coefficients; no polynomial and no formal sum stores a zero.  The public
-constructors (`Word`, `RatPoly`, `FormalSum`) check and normalise what they
-are given.  The private constructors `_word`, `_poly` and `_normal_sum`
-set the slot as given and check nothing.  Only the package's own exact
-layer (`algebra`, `interpolate`, `identities`, `reduction`) may call them,
-and only with data derived from already validated Words and RatPolys and
-already in normal form: letters and coefficients taken from existing
-values, or sums and products of them with the zeros dropped.  Input from
-a caller never goes to them; `cli` never calls them.
+coefficients have int degrees >= 0 and nonzero ints over a denominator
+with no factor common to all of them; no polynomial and no formal sum
+stores a zero.  The public constructors (`Word`, `RatPoly`, `FormalSum`)
+check and normalise what they are given.  The private constructors
+`_word`, `_poly` and `_normal_sum` set the slots as given and check
+nothing.  Only the package's own exact layer (`algebra`, `interpolate`,
+`identities`, `reduction`) may call them, and only with data derived
+from already validated values and already in normal form: letters and
+coefficients taken from existing values, or sums and products of them
+with the zeros dropped and the result reduced.  Input from a caller
+never goes to them; `cli` never calls them.  The stored form is read by
+that layer and by `numeric`, never written outside `algebra`'s
+constructors.
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 
 def _as_exact(c):
@@ -94,16 +104,7 @@ class RatPoly:
         return self.coeffs.keys() <= {0}
 
     def __add__(self, other):
-        if not isinstance(other, RatPoly):
-            other = RatPoly(other)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            c += out.get(e, 0)
-            if c:
-                out[e] = c
-            else:
-                del out[e]
-        return _poly(out)
+        return _poly(_plus(self.coeffs, RatPoly(other).coeffs))
 
     __radd__ = __add__
 
@@ -111,26 +112,15 @@ class RatPoly:
         return _poly({e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        if not isinstance(other, RatPoly):
-            other = RatPoly(other)
-        return self + -other
+        return self + -RatPoly(other)
 
     def __rsub__(self, other):
         return RatPoly(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and type(other) is not bool:
-            if not other:
-                return _poly({})
-            return _poly({e: c * other for e, c in self.coeffs.items()})
-        if not isinstance(other, RatPoly):
+        if type(other) is bool or not isinstance(other, (int, Fraction, RatPoly)):
             return NotImplemented
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return _poly({e: c for e, c in out.items() if c})
+        return _poly(_poly_mul(self.coeffs, RatPoly(other).coeffs))
 
     __rmul__ = __mul__
 
@@ -286,17 +276,33 @@ class Index(Word):
 class FormalSum:
     """Finite Q[t]-linear combination of words, kept in normal form.
 
-    Normal form means: no stored zero coefficients, each word at most once.
-    Addition, subtraction and scalar multiplication (by ints, Fractions or
+    A sum is stored in integers: one positive denominator, and for each
+    word its coefficient times that denominator, {degree in t: int}.
+    Normal form means: no stored zero and no word without a coefficient,
+    each word at most once, and no factor common to the denominator and
+    every integer, so that equal sums store equal data.  `terms` shows
+    the coefficients as RatPolys, built when first read.  Addition,
+    subtraction and scalar multiplication (by ints, Fractions or
     polynomials) are the only overloaded operators; the algebra products
     live in module functions since there are three of them.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("_den", "_graded", "_terms")
 
     def __init__(self, terms=()):
-        self.terms = {}
-        _add_into(self.terms, _checked_terms(terms))
+        rational = {}
+        for w, c in terms.items() if isinstance(terms, dict) else terms:
+            if type(w) is not Word:  # an Index too: keys are exactly Words
+                raise TypeError(f"FormalSum keys must be Words, got {type(w).__name__}")
+            c = RatPoly(c).coeffs
+            rational[w] = _plus(rational[w], c) if w in rational else c
+        # the lcm of the denominators shares no factor with every numerator
+        den = lcm(*(x.denominator for c in rational.values() for x in c.values()))
+        self._den, self._terms = den, None
+        self._graded = {
+            w: {d: x.numerator * (den // x.denominator) for d, x in c.items()}
+            for w, c in rational.items() if c
+        }
 
     @classmethod
     def zero(cls):
@@ -310,30 +316,38 @@ class FormalSum:
     def from_word(cls, word, coeff=1):
         return cls({word if isinstance(word, Word) else Word(word): coeff})
 
+    @property
+    def terms(self):
+        """The coefficients as {Word: RatPoly}, built when first read and
+        then kept: the words of one value share one RatPoly."""
+        if self._terms is None:
+            self._terms = _view(self._den, self._graded)
+        return self._terms
+
     def is_zero(self):
-        return not self.terms
+        return not self._graded
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._graded)
 
     def __len__(self):
-        return len(self.terms)
+        return len(self._graded)
 
     def items(self):
         return self.terms.items()
 
     def words(self):
-        return self.terms.keys()
+        return self._graded.keys()
 
     def coefficient(self, word):
-        return self.terms.get(word, RatPoly(0))
+        c = self._graded.get(word)
+        return RatPoly(0) if c is None else _view(self._den, {word: c})[word]
 
     def __add__(self, other):
         if not isinstance(other, FormalSum):
             return NotImplemented
-        out = dict(self.terms)
-        _add_into(out, other.terms.items())
-        return _normal_sum(out)
+        den = lcm(self._den, other._den)
+        return _combined(den, [(e._graded, {0: den // e._den}) for e in (self, other)])
 
     def __sub__(self, other):
         if not isinstance(other, FormalSum):
@@ -341,94 +355,128 @@ class FormalSum:
         return self + -other
 
     def __neg__(self):
-        return _normal_sum({w: -p for w, p in self.terms.items()})
+        return self * -1
 
     def __mul__(self, scalar):
         if type(scalar) is bool or not isinstance(scalar, (int, Fraction, RatPoly)):
             return NotImplemented
-        if not scalar:
-            return _normal_sum({})
-        # Q[t] has no zero divisors: no product of nonzero terms vanishes
-        return _normal_sum({w: p * scalar for w, p in self.terms.items()})
+        s = FormalSum({Word(): scalar})  # the scalar in integers
+        return _combined(self._den * s._den, [(self._graded, c) for c in s._graded.values()])
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return isinstance(other, FormalSum) and self.terms == other.terms
+        return isinstance(other, FormalSum) and (
+            (self._den, self._graded) == (other._den, other._graded)
+        )
 
     def __hash__(self):
-        return hash(frozenset((w, p) for w, p in self.terms.items()))
+        items = self._graded.items()
+        return hash((self._den, frozenset((w, frozenset(c.items())) for w, c in items)))
 
     def is_t_free(self):
-        return all(p.is_constant() for p in self.terms.values())
+        return all(len(c) == 1 and 0 in c for c in self._graded.values())
 
     def map_coefficients(self, f):
         """Apply f to every coefficient polynomial; drops resulting zeros."""
         return FormalSum({w: f(p) for w, p in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({self.terms[w]})*[{w}]" for w in sorted(self.terms))
+        terms = _view(self._den, self._graded)  # not kept: printing is often all
+        text = {id(p): p for p in terms.values()}  # each shared RatPoly once
+        text = {i: str(p) for i, p in text.items()}
+        return " + ".join(f"({text[id(p)]})*[{w}]" for w, p in sorted(terms.items())) or "0"
 
     def __repr__(self):
         return f"FormalSum('{self}')"
 
 
-def _normal_sum(terms):
-    """FormalSum over the dict `terms` as given, unchecked: {Word: nonzero
-    RatPoly}, built by the exact layer and owned by the result (see the
-    module docstring)."""
+def _normal_sum(graded, den=1):
+    """FormalSum of the integers `graded` over den as given, unchecked:
+    {Word: {int degree >= 0: nonzero int}} with no empty dict, and den a
+    positive int with no factor common to every integer (see the module
+    docstring).  The dicts become the result's, to be read and shared,
+    never changed."""
     e = object.__new__(FormalSum)
-    e.terms = terms
+    e._den, e._graded, e._terms = den, graded, None
     return e
 
 
-def _checked_terms(terms):
-    """The (Word, RatPoly) pairs of caller input `terms` (a dict or
-    pairs), each checked, with zero coefficients skipped."""
-    for w, c in terms.items() if isinstance(terms, dict) else terms:
-        if type(w) is not Word:  # an Index too: keys are exactly Words
-            raise TypeError(f"FormalSum keys must be Words, got {type(w).__name__}")
-        p = c if isinstance(c, RatPoly) else RatPoly(c)
-        if p.coeffs:
-            yield w, p
+def _view(den, graded):
+    """{Word: RatPoly} of the integers `graded` over den: int coefficients
+    if den is 1, Fractions otherwise, and one RatPoly per value, shared by
+    the words that take it.  RatPoly(c) copies c, since a RatPoly's coeffs
+    are public and a stored dict may be shared with other sums and with
+    the product memo."""
+    by_id, by_value, out = {}, {}, {}  # a stored dict's id, or its items -> RatPoly
+    for w, c in graded.items():
+        if (p := by_id.get(id(c))) is None:
+            p = RatPoly(c) if den == 1 else _poly({d: Fraction(x, den) for d, x in c.items()})
+            p = by_id[id(c)] = by_value.setdefault(frozenset(p.coeffs.items()), p)
+        out[w] = p
+    return out
 
 
-def _add_into(out, terms):
-    """Add the (Word, RatPoly) pairs `terms` into the dict `out` of a sum
-    being built, dropping each word whose coefficient cancels."""
-    for w, p in terms:
-        q = out.get(w)
-        if q is None:
-            out[w] = p
-        elif p := q + p:
-            out[w] = p
-        else:
-            del out[w]
+def _plus(c1, c2):
+    """The sum of two polynomials {degree: coefficient}, zeros dropped."""
+    return {e: x for e in c1.keys() | c2.keys() if (x := c1.get(e, 0) + c2.get(e, 0))}
 
 
-def _graded_sum(graded):
-    """The formal sum of {word: {degree: coefficient}}, zeros dropped."""
-    terms = {}
-    for u, acc in graded.items():
-        if p := {deg: x for deg, x in acc.items() if x}:
-            # memo words are Words already; the recursion builds tuples
-            terms[u if type(u) is Word else _word(u)] = _poly(p)
-    return _normal_sum(terms)
+def _poly_mul(c1, c2):
+    """The product of two polynomials {degree: coefficient}, zeros
+    dropped."""
+    out = {}
+    for d1, x1 in c1.items():
+        for d2, x2 in c2.items():
+            out[d1 + d2] = out.get(d1 + d2, 0) + x1 * x2
+    return {d: x for d, x in out.items() if x}
+
+
+def _combined(den, parts):
+    """The formal sum over den of the (graded, c) pairs `parts`: each
+    {Word: {degree: int}} times the integer polynomial c, added up in new
+    dicts."""
+    out = {}
+    for graded, c in parts:
+        c = c.items()
+        for w, a in graded.items():
+            if (acc := out.get(w)) is None:
+                acc = out[w] = {}
+            for d, x in a.items():
+                for e, y in c:
+                    acc[d + e] = acc.get(d + e, 0) + x * y
+    return _reduced(den, out)
+
+
+def _reduced(den, graded):
+    """The formal sum over den of {word: {degree: int}}: zeros, and words
+    left without a coefficient, dropped, keys made Words, and den and the
+    integers divided by their greatest common divisor."""
+    out = {}
+    for u, c in graded.items():
+        if 0 in c.values():
+            c = {d: x for d, x in c.items() if x}
+        if c:
+            out[u if type(u) is Word else _word(u)] = c
+    if den > 1 and (g := gcd(den, *chain.from_iterable(map(dict.values, out.values())))) > 1:
+        out = {w: {d: x // g for d, x in c.items()} for w, c in out.items()}
+        den //= g
+    return _normal_sum(out, den)
 
 
 def _t_free_sum(den, vec):
-    """The t-free formal sum of {word: integer} over den, zeros dropped:
-    one RatPoly per distinct value, shared by the words that take it, its
-    coefficient an int when den is 1 and a Fraction otherwise."""
-    shared, terms = {}, {}
+    """The t-free formal sum of {word: int} over den, zeros dropped and
+    reduced: one {0: x} dict per distinct value x, shared by the words
+    that take it."""
+    g = gcd(den, *vec.values())
+    shared, out = {}, {}
     for w, x in vec.items():
         if x:
-            if (p := shared.get(x)) is None:
-                p = shared[x] = _poly({0: Fraction(x, den) if den > 1 else x})
-            terms[w if type(w) is Word else _word(w)] = p
-    return _normal_sum(terms)
+            x //= g
+            if (c := shared.get(x)) is None:
+                c = shared[x] = {0: x}
+            out[w if type(w) is Word else _word(w)] = c
+    return _normal_sum(out, den // g)
 
 
 def as_sum(x):
@@ -443,44 +491,29 @@ def as_sum(x):
 def word_linear(f, e):
     """Extend a word-level map f: Word -> FormalSum linearly over e."""
     return FormalSum(
-        (u, c * d) for w, c in as_sum(e).terms.items() for u, d in f(w).terms.items()
+        (u, c * d) for w, c in as_sum(e).items() for u, d in f(w).items()
     )
 
 
-def _at_alpha(alpha, polys):
-    """The values c(alpha) alpha^s for s < n, for each pair (c, n) of a
-    nonzero RatPoly c and a count n >= 1, as integers over one common
-    denominator: returns (den, [[den c(alpha) alpha^s for s < n], ...]).
+def _at_alpha(alpha, den, top):
+    """Integer polynomials at t = alpha = p/q, over one denominator:
+    returns (den q^top, at), where at(c, s) is the integer
+    q^top c(alpha) alpha^s = sum_j c_j p^(j+s) q^(top-j-s) for a dict c
+    whose degree plus s is at most top."""
+    ps = [alpha.numerator**i for i in range(top + 1)]
+    qs = [alpha.denominator**i for i in range(top + 1)]
 
-    For alpha = p/q, den is the lcm L of the denominators of the c times
-    q^top, top the largest deg c + n - 1.  With d = deg c, the integer
-    N = L q^d c(alpha) gives each value as N p^s q^(top - d - s), so no
-    gcd is taken until the caller divides by den.
-    """
-    polys = list(polys)
-    p, q = alpha.numerator, alpha.denominator
-    scale = lcm(*{x.denominator for c, _ in polys for x in c.coeffs.values()})
-    top = max((max(c.coeffs) + n - 1 for c, n in polys), default=0)
-    ps, qs = [1], [1]
-    for _ in range(top):
-        ps.append(ps[-1] * p)
-        qs.append(qs[-1] * q)
-    values = []
-    for c, n in polys:
-        d = max(c.coeffs)
-        num = sum(
-            x.numerator * (scale // x.denominator) * ps[j] * qs[d - j]
-            for j, x in c.coeffs.items()
-        )
-        values.append([num * ps[s] * qs[top - d - s] for s in range(n)])
-    return scale * qs[top], values
+    def at(c, s=0):
+        return sum(x * ps[j + s] * qs[top - j - s] for j, x in c.items())
+
+    return den * qs[top], at
 
 
 def substitute_t(e, alpha):
     """Evaluate every coefficient of e at t = alpha (exact rational)."""
     e = as_sum(e)
-    den, values = _at_alpha(_as_exact(alpha), ((p, 1) for p in e.terms.values()))
-    return _t_free_sum(den, {w: v for w, (v,) in zip(e.terms, values)})
+    den, at = _at_alpha(_as_exact(alpha), e._den, max(map(max, e._graded.values()), default=0))
+    return _t_free_sum(den, {w: at(c) for w, c in e._graded.items()})
 
 
 def circle(a, b):
@@ -492,22 +525,13 @@ def circle_act(a, e):
     """Act by the letter a on a formal sum: a acts as zero on the unit
     word and merges into the first letter otherwise."""
     _check_letter(a)
+    e = as_sum(e)
     # distinct words stay distinct, so no coefficients merge
-    return _normal_sum(
-        {
-            _word((a + w[0],) + w[1:]): c
-            for w, c in as_sum(e).terms.items()
-            if w
-        }
-    )
+    return _reduced(e._den, {(a + w[0],) + w[1:]: c for w, c in e._graded.items() if w})
 
 
-def _prepend(a, e, scale=1):
-    """The terms of a e, the letter a prepended to each word of e, with
-    each coefficient times the nonzero scale."""
-    one = scale == 1
-    for w, c in e.terms.items():
-        yield _word((a,) + w), c if one else c * scale
+#: The coefficient 1 of a word, shared by every memo entry that needs it.
+_ONE = {0: 1}
 
 
 def _quasi_shuffle(merge, circ=None):
@@ -524,45 +548,49 @@ def _quasi_shuffle(merge, circ=None):
         harmonic    1         none
         star        -1        none
         t           1 - 2t    t^2 - t
+
+    A product is {Word: {degree: int}}, its integer coefficients over
+    denominator 1, and shares the dicts of the entries it is built from
+    wherever a word's coefficient is one of theirs unchanged: no memo
+    entry is ever changed.
     """
 
     @cache
-    def word_product(w1: Word, w2: Word) -> FormalSum:
-        if not w1:
-            return FormalSum.from_word(w2)
-        if not w2:
-            return FormalSum.from_word(w1)
+    def word_product(w1: Word, w2: Word) -> dict:
+        if not (w1 and w2):
+            return {w1 or w2: _ONE}
         a, u = w1[0], _word(w1[1:])
         b, v = w2[0], _word(w2[1:])
-        inner = word_product(u, v)
-        out = dict(_prepend(a, word_product(u, w2)))
-        _add_into(out, _prepend(b, word_product(w1, v)))
-        _add_into(out, _prepend(a + b, inner, merge))
-        if circ is not None:
-            _add_into(out, (circ * circle_act(a + b, inner)).items())
-        return _normal_sum(out)
+        # the parts' words begin with a, b, a+b and a+b plus a letter, so
+        # words of two parts meet only in the two prepends, when a == b
+        out = {_word((a,) + w): c for w, c in word_product(u, w2).items()}
+        for w, c in word_product(w1, v).items():
+            w = _word((b,) + w)
+            if w not in out or (c := _plus(out.pop(w), c)):
+                out[w] = c
+        for w, c in word_product(u, v).items():
+            out[_word((a + b,) + w)] = c if merge is _ONE else _poly_mul(c, merge)
+            if circ and w:
+                out[_word((a + b + w[0],) + w[1:])] = _poly_mul(c, circ)
+        return out
 
     return word_product
 
 
-_harmonic_ww = _quasi_shuffle(1)
-_star_ww = _quasi_shuffle(-1)
-_t_harmonic_ww = _quasi_shuffle(RatPoly({0: 1, 1: -2}), RatPoly({1: -1, 2: 1}))
+_harmonic_ww = _quasi_shuffle(_ONE)
+_star_ww = _quasi_shuffle({0: -1})
+_t_harmonic_ww = _quasi_shuffle({0: 1, 1: -2}, {1: -1, 2: 1})
 
 
 def _bilinear(word_product, e1, e2):
-    """The product of two sums, the memoised word products added up in
-    {word: {degree: coefficient}}: one RatPoly per word of the result."""
-    out = {}
-    for w1, c1 in as_sum(e1).terms.items():
-        for w2, c2 in as_sum(e2).terms.items():
-            c12 = (c1 * c2).coeffs
-            for w, c in word_product(w1, w2).terms.items():
-                acc = out.setdefault(w, {})
-                for d, x in c.coeffs.items():
-                    for d12, x12 in c12.items():
-                        acc[d + d12] = acc.get(d + d12, 0) + x * x12
-    return _graded_sum(out)
+    """The product of two sums in integers: the memoised word products
+    times the products of the coefficients, added up over the product of
+    the two denominators."""
+    e1, e2 = as_sum(e1), as_sum(e2)
+    return _combined(e1._den * e2._den, (
+        (word_product(w1, w2), _poly_mul(c1, c2))
+        for w1, c1 in e1._graded.items() for w2, c2 in e2._graded.items()
+    ))
 
 
 def harmonic_product(e1, e2):

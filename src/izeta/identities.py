@@ -21,8 +21,8 @@ from .algebra import (
     Index,
     RatPoly,
     Word,
-    _graded_sum,
     _poly,
+    _reduced,
     _word,
     as_sum,
     harmonic_product,
@@ -93,7 +93,7 @@ def sum_formula_sides(k, n):
     """The two sides of the interpolated sum formula at weight k and depth
     n: S^t of the sum of all admissible words of weight k and depth n, and
     z_k times `sum_poly(k, n)`.  Their values agree for every t."""
-    return tuple(map(_graded_sum, _sum_formula_graded(k, n)))
+    return tuple(_reduced(1, side) for side in _sum_formula_graded(k, n))
 
 
 def _rotations(parts):
@@ -154,7 +154,7 @@ def cyclic_sides(w):
     weight k and depth n < k: S^t(Sigma w), the rotations split at the
     head, and (1 - t) S^t(C w) + k t^n z_{k+1}, the rotations with the head
     raised.  Their values agree for every t."""
-    return tuple(map(_graded_sum, _cyclic_graded(w)))
+    return tuple(_reduced(1, side) for side in _cyclic_graded(w))
 
 
 def csf_generator(w):

@@ -21,14 +21,17 @@ shift degrees by sigma.  `s_alpha` multiplies by alpha^sigma in
 integers over one common denominator; `s_poly` multiplies by
 param^sigma, each power computed once per call.
 
-The recursion's graded form {word: {degree: coefficient}} is also what
-the identities are stated in and what the reduction certificates read:
-`algebra._graded_sum` turns it into a formal sum, and `_taylor_parts`
-takes the (t - alpha)^m parts of one graded side, or of the difference
-of two, split by degree and re-expanded about alpha = p/q by Horner's
-rule in integers, each part left as integers over q^(d-m).
-`taylor_shift` is those parts of one formal sum, built as formal sums
-by `algebra._t_free_sum`, as the certificate targets are.  Results are
+The recursion's graded form {word: {degree: int}} is the form a formal
+sum stores, over its denominator, and what the identities are stated in
+and the reduction certificates read: `s_t` runs the recursion on a sum's
+stored integers and keeps its denominator, and `s_alpha` evaluates each
+stored dict at alpha once per word length (`algebra._at_alpha`).
+`_taylor_parts` takes the (t - alpha)^m parts of one side, graded or a
+formal sum, or of the difference of two, put over their common
+denominator, split by degree and re-expanded about alpha = p/q by
+Horner's rule in integers, each part left as integers over a
+denominator.  `taylor_shift` is those parts of one formal sum, stored by
+`algebra._t_free_sum`, as the certificate targets are.  Results are
 built with the trusted constructors of `algebra` from the validated
 input.
 `enumerate_contractions` reads the same expansion as explicit patterns,
@@ -41,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from math import lcm
 
 from .algebra import (
     FormalSum,
@@ -49,8 +53,7 @@ from .algebra import (
     Word,
     _as_exact,
     _at_alpha,
-    _graded_sum,
-    _normal_sum,
+    _reduced,
     _t_free_sum,
     _word,
     as_sum,
@@ -156,22 +159,22 @@ def s_poly(e, param):
     param^sigma, each power computed once per call."""
     param = RatPoly(param)
     powers = [RatPoly(1)]  # param^0, param^1, ..., grown on demand
-    out = {}
-    for w, c in as_sum(e).terms.items():
+    pairs = []
+    for w, c in as_sum(e).items():
         while len(powers) < len(w):
             powers.append(powers[-1] * param)
         scaled = [c * p for p in powers[: len(w) or 1]]  # by sigma
-        for u in _s_t_word(w):
-            p = scaled[len(w) - len(u)]
-            out[u] = p if (q := out.get(u)) is None else q + p
-    return _normal_sum({u: p for u, p in out.items() if p})
+        pairs += [(u, scaled[len(w) - len(u)]) for u in _s_t_word(w)]
+    return FormalSum(pairs)
 
 
 def s_t(e):
     """The interpolation operator itself (parameter t): each contraction
     with sigma merges shifts the degrees of its coefficient by sigma.
-    The whole sum runs through one first-letter recursion."""
-    return _graded_sum(_s_t_graded((w, c.coeffs) for w, c in as_sum(e).terms.items()))
+    The whole sum runs through one first-letter recursion on its stored
+    integers, over its denominator."""
+    e = as_sum(e)
+    return _reduced(e._den, _s_t_graded(e._graded.items()))
 
 
 def s_alpha(e, alpha):
@@ -182,17 +185,21 @@ def s_alpha(e, alpha):
     words survive.
 
     The contributions are integers over one common denominator, so each
-    contraction costs one integer addition and each distinct value of the
-    result one Fraction."""
+    contraction costs one integer addition, and each distinct value of
+    the result one stored dict."""
     alpha = _as_exact(alpha)
     e = as_sum(e)
-    den, values = _at_alpha(alpha, ((c, max(w.depth, 1)) for w, c in e.terms.items()))
-    out = {}
-    for w, v in zip(e.terms, values):
+    top = max((max(c) + (len(w) or 1) for w, c in e._graded.items()), default=1) - 1
+    den, at = _at_alpha(alpha, e._den, top)
+    out, values = {}, {}  # (id of a stored dict, n) -> its values for sigma < n
+    for w, c in e._graded.items():
+        n = len(w)
+        if (v := values.get((id(c), n))) is None:
+            v = values[id(c), n] = [at(c, sigma) for sigma in range(n or 1)]
         if not v[0]:  # c(alpha) = 0
             continue
         for u in _s_t_word(w):
-            out[u] = out.get(u, 0) + v[len(w) - len(u)]
+            out[u] = out.get(u, 0) + v[n - len(u)]
     return _t_free_sum(den, out)
 
 
@@ -215,27 +222,30 @@ def d_dt(e):
 def _taylor_parts(sides, alpha, powers):
     """The (t - alpha)^m parts, m < `powers`, of lhs - rhs for `sides`
     (lhs, rhs), or of lhs for (lhs,): each side graded, {word: {degree:
-    coefficient}}, or a formal sum, every degree below `powers`.  Each
-    part is (den, {word: coefficient}) with no zero, the part being that
-    over den.  Splitting by degree into P_0, ..., P_d, d = powers - 1,
-    gives the parts at alpha = 0.  Any other alpha = p/q re-expands the
-    split by Horner's rule in integers: the parts R_j = q^(d-j) P_j of
-    q^d e(t/q), scaled as they are split, are shifted to the integer p,
-    for i < d, and j from d - 1 down to i, R_j += p R_(j+1), and part m is
-    R_m over q^(d-m).  So R_m is sum_j C(j, m) p^(j-m) q^(d-j+m) P_j, with
-    integer factors."""
+    int}}, or a formal sum, every degree below `powers`.  Each part is
+    (den, {word: int}) with no zero, the part being that over den.  The
+    sides are put over their common denominator L, and splitting by
+    degree into P_0, ..., P_d, d = powers - 1, gives the parts at
+    alpha = 0.  Any other alpha = p/q re-expands the split by Horner's
+    rule in integers: the parts R_j = q^(d-j) P_j of q^d e(t/q), scaled as
+    they are split, are shifted to the integer p, for i < d, and j from
+    d - 1 down to i, R_j += p R_(j+1), and part m is R_m over L q^(d-m).
+    So R_m is sum_j C(j, m) p^(j-m) q^(d-j+m) P_j, with integer factors."""
     p, q, d = alpha.numerator, alpha.denominator, powers - 1
+    sides = [(s._den, s._graded) if isinstance(s, FormalSum) else (1, s) for s in sides]
+    common = lcm(*(den for den, _ in sides))
     parts = [{} for _ in range(powers)]
-    for sign, side in zip((1, -1), sides):
-        scale = [sign * q ** (d - deg) for deg in range(powers)]
+    for sign, (den, side) in zip((1, -1), sides):
+        scale = [sign * common // den * q ** (d - deg) for deg in range(powers)]
         for w, c in side.items():
-            for deg, x in (c.coeffs if isinstance(c, RatPoly) else c).items():
+            for deg, x in c.items():
                 parts[deg][w] = parts[deg].get(w, 0) + scale[deg] * x
     for i in range(d if p else 0):
         for j in range(d - 1, i - 1, -1):
             for w, c in parts[j + 1].items():
                 parts[j][w] = parts[j].get(w, 0) + p * c
-    return [(q ** (d - m), {w: x for w, x in part.items() if x}) for m, part in enumerate(parts)]
+    dens = [common * q ** (d - m) for m in range(powers)]
+    return [(den, {w: x for w, x in part.items() if x}) for den, part in zip(dens, parts)]
 
 
 def taylor_shift(e, alpha):
@@ -243,12 +253,11 @@ def taylor_shift(e, alpha):
 
     Returns the t-free formal sums a_0, ..., a_d, d the largest degree
     in t of a coefficient of e (just a_0 = 0 for e = 0), with
-    a_k = (d/dt)^k e |_{t=alpha} / k!: the parts of `_taylor_parts`, one
-    Fraction per word of a_k at alpha = p/q with k < d and q > 1.
+    a_k = (d/dt)^k e |_{t=alpha} / k!: the parts of `_taylor_parts`.
     """
     alpha = _as_exact(alpha)
     e = as_sum(e)
-    degree = max((poly.degree for poly in e.terms.values()), default=0)
+    degree = max(map(max, e._graded.values()), default=0)
     return [_t_free_sum(*part) for part in _taylor_parts([e], alpha, degree + 1)]
 
 

@@ -217,10 +217,10 @@ def eval_element(e, alpha, M):
     is the weighted sum of the per-term bounds plus that rounding."""
     e = as_sum(e)
     _check_truncation(M, 0)  # also for a sum with no term at alpha
-    den, values = _at_alpha(_as_exact(alpha), ((p, 1) for p in e.terms.values()))
+    den, at = _at_alpha(_as_exact(alpha), e._den, max(map(max, e._graded.values()), default=0))
     coeffs = {}
-    for w, (c,) in zip(e.terms, values):
-        if not c:  # the coefficient vanishes at alpha
+    for w, c in e._graded.items():
+        if not (c := at(c)):  # the coefficient vanishes at alpha
             continue
         if w and w[0] < 2:
             raise ValueError(f"divergent term: word [{w}]")

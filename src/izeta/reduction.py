@@ -1,17 +1,17 @@
 """Exact linear algebra over the word basis: span-membership certificates
 for the reductions that the interpolation identities predict.
 
-Vectors are integers over one denominator: a t-free formal sum becomes
-(den, {Word: int}), its coefficients times den, the lcm of their
-denominators.  `SpanSolver` eliminates fraction-free (Bareiss, Math.
-Comp. 22 (1968)) on such vectors: rows stay integer, and where a pivot
-does not divide the entry it clears, the vector being reduced is first
-scaled by the least integer that makes it divide.  Each coefficient
-becomes a Fraction once, at the end.  `verify_certificates` re-checks
-each certificate in the same integers, word by word, from its own
-target, generators and coefficients.  A failed membership is a value
-(certificate with no coefficients), not an error, so callers can report
-exactly which component fell outside the span.
+Vectors are integers over one denominator: a t-free formal sum is read
+as (den, {Word: int}), the form it stores (`_integer_form`).
+`SpanSolver` eliminates fraction-free (Bareiss, Math. Comp. 22 (1968))
+on such vectors: rows stay integer, and where a pivot does not divide
+the entry it clears, the vector being reduced is first scaled by the
+least integer that makes it divide.  Each coefficient becomes a Fraction
+once, at the end.  `verify_certificates` re-checks each certificate in
+the same integers, word by word, from its own target, generators and
+coefficients.  A failed membership is a value (certificate with no
+coefficients), not an error, so callers can report exactly which
+component fell outside the span.
 
 `certify_relations` stays in integers from the identities to the
 solver: it takes each relation's sides in the graded form
@@ -19,9 +19,10 @@ solver: it takes each relation's sides in the graded form
 `interpolate._taylor_parts` subtracts them, splits the difference by
 degree and, at alpha = p/q != 0, shifts the parts by Horner's rule in
 integers, the loop `taylor_shift` runs too.  Part m is then an integer
-vector over q^(d-m), handed to the solver as it is; only the certificate
-targets become formal sums, one per part, and `_integer_form` is left to
-the public solver calls and to the verifier.
+vector over a denominator, handed to the solver as it is; the certificate
+targets store the same integers, reduced, one formal sum per part, and
+`_integer_form` reads them back for the public solver calls and the
+verifier.
 
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
@@ -45,14 +46,12 @@ from .interpolate import _taylor_parts
 
 
 def _integer_form(e):
-    """A t-free formal sum over one denominator: (den, {Word: int}), each
-    coefficient times den, the lcm of their denominators."""
+    """A t-free formal sum over one denominator: (den, {Word: int}), as
+    the sum stores it."""
     e = as_sum(e)
     if not e.is_t_free():
         raise ValueError("reduction inputs must be t-free")
-    values = {w: p.coeffs[0] for w, p in e.terms.items()}
-    den = lcm(*(x.denominator for x in values.values()))
-    return den, {w: x.numerator * (den // x.denominator) for w, x in values.items()}
+    return e._den, {w: c[0] for w, c in e._graded.items()}
 
 
 _ZERO = Fraction(0)

@@ -377,8 +377,8 @@ def test_s_t_of_a_whole_sum_matches_brute_force(name):
     assert as_dicts(got) == brute_s_t(terms)
     if name == "cancelling":
         assert as_dicts(got) == {(2, 1): {0: 1}}
-    # a plain tuple passed to the memo would share the entry of the equal
-    # Word and store tuples in it
+    # the whole-sum recursion reads the memo on plain tuple tails; the
+    # entries it stored hold Words all the same
     for letters in terms:
         for i in range(len(letters)):
             image = _s_t_word(Word(letters[i:]))
