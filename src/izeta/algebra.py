@@ -314,7 +314,15 @@ class FormalSum:
 
     @classmethod
     def from_word(cls, word, coeff=1):
-        return cls({word if isinstance(word, Word) else Word(word): coeff})
+        if not isinstance(word, Word):
+            word = Word(word)
+        if type(word) is not Word or type(coeff) not in (int, Fraction):
+            return cls({word: coeff})  # the constructor's checks and errors
+        if not coeff:
+            return _normal_sum({})
+        # a Fraction is in lowest terms; a stored dict is never changed
+        return _normal_sum({word: _ONE if coeff == 1 else {0: coeff.numerator}},
+                           coeff.denominator)
 
     @property
     def terms(self):

@@ -15,8 +15,16 @@ each series Li_a(1/2) = sum_{n1>...>nr>=1} 2^-n1 / (n1^a1 ... nr^ar)
 converges like 2^-n.
 
 Each series is summed in fixed point, as Python integers scaled by
-2^PREC, and memoised per word.  Every division is floored, so the sums
-are lower bounds, and the reported `err` is proved.  It adds up
+2^PREC.  Its inner layers, the sums over n >= n2 > ... > nr >= 1, depend
+only on n and on the letters after the first.  So each distinct tail of
+letters keeps two vectors at n = 0, 1, ...: its partial sums and its
+floor losses.  They are built from the vectors of the tail's own tail,
+lengthened when a larger N is asked for, and shared by every series
+that ends in that tail.  A series is then one pass of N steps with its
+2^-n.  Tails, series and strict values are kept in process-wide LRU
+tables, sized so that the sum formula at weight 16 evicts nothing.
+Every division is floored, so the sums are lower bounds, and the
+reported `err` is proved.  It adds up
 
 * the tail past the truncation point N: the inner sums are at most
   H_(n-1)^(r-1)/(r-1)!, so the tail is at most
@@ -94,35 +102,70 @@ def _tail_bound(a, r, N):
     return (total + g(n) / (1 - rho(n))) * (1 + 1e-9)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 10)
 def _terms_needed(a, r):
-    """Fewest terms after which the tail is below 2^-PREC."""
-    n = PREC // 2
-    while _tail_bound(a, r, n) > math.ldexp(1.0, -PREC):
-        n += 1
-    return n
+    """Fewest terms, from PREC // 2 on, after which the tail is below
+    2^-PREC: the bound falls as N grows, so double until it holds, then
+    bisect."""
+    lo, hi = PREC // 2, PREC
+    while _tail_bound(a, r, hi) > math.ldexp(1.0, -PREC):
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _tail_bound(a, r, mid) > math.ldexp(1.0, -PREC):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1 << 14)
+def _tail(parts):
+    """A one-slot list holding the two vectors of the inner layers `parts`
+    of a series, at n = 0, 1, ...: the partial sums over
+    n >= n1 > ... > nr >= 1 of 1/(n1^a1 ... nr^ar), scaled by 2^PREC, and
+    what their floors dropped.  `_vectors` lengthens them."""
+    return [([0], [0])]
+
+
+def _vectors(parts, N):
+    """The two vectors of `_tail(parts)` at n = 0..N at least; the empty
+    tail is 1 at every n.  Each layer reads its inner neighbour at n - 1,
+    so the prefixes never change: a longer pair replaces the stored one,
+    which no one changes, and callers sharing it can at worst compute an
+    extension twice."""
+    if not parts:
+        return [_ONE] * (N + 1), [0] * (N + 1)
+    slot = _tail(parts)
+    sums, lost = slot[0]
+    if len(sums) <= N:
+        a, (inner, inner_lost) = parts[0], _vectors(parts[1:], N - 1)
+        sums, lost = sums[:], lost[:]
+        for n in range(len(sums), N + 1):
+            q = n**a
+            sums.append(sums[-1] + inner[n - 1] // q)
+            # floor((x - d)/q) misses x/q by less than d/q + 1
+            lost.append(lost[-1] - (-inner_lost[n - 1] // q) + 1)
+        slot[0] = sums, lost
+    return sums, lost
+
+
+@lru_cache(maxsize=1 << 16)
 def _li_half(parts, N):
     """Li_parts(1/2) from the terms n1 <= N, in fixed point.
 
     Returns (total, err), both scaled by 2^PREC: the floors only round
     down, so the series lies in [total, total + err], where err adds what
-    the floors dropped to the tail bound.  Layer i holds the partial sum
-    over n_i <= n; layers are updated outermost first, so each reads its
-    inner neighbour still at n - 1."""
-    r = len(parts)
-    sums, lost = [0] * r, [0] * r
+    the floors dropped to the tail bound.  One pass over n <= N, with its
+    2^n, reads the inner layers at n - 1 from their shared vectors."""
+    a, (inner, inner_lost) = parts[0], _vectors(parts[1:], N - 1)
+    total = lost = 0
     for n in range(1, N + 1):
-        for i, a in enumerate(parts):
-            inner, inner_lost = (sums[i + 1], lost[i + 1]) if i + 1 < r else (_ONE, 0)
-            q = n**a << n if i == 0 else n**a
-            sums[i] += inner // q
-            # floor((x - d)/q) misses x/q by less than d/q + 1
-            lost[i] += -(-inner_lost // q) + 1
-    tail = math.ceil(math.ldexp(_tail_bound(parts[0], r, N), PREC))
-    return sums[0], lost[0] + tail
+        q = n**a << n
+        total += inner[n - 1] // q
+        lost += -(-inner_lost[n - 1] // q) + 1
+    tail = math.ceil(math.ldexp(_tail_bound(a, len(parts), N), PREC))
+    return total, lost + tail
 
 
 def _series(word, M):
@@ -139,7 +182,7 @@ def _series(word, M):
     return _li_half(tuple(parts), min(M, _terms_needed(parts[0], len(parts))))
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=1 << 15)
 def _strict(parts, M):
     """zeta(parts) by Hölder convolution at scale 4^PREC: (lower bound,
     error bound).  Each series sums at most M terms."""

@@ -255,6 +255,21 @@ def truncated_checkpoints(parts, m_max, strict):
     return prev[m_max], prev[m_max // 2], prev[m_max // 4]
 
 
+@lru_cache(maxsize=None)
+def exact_layers(parts, L):
+    """The nested sums of a composition at m = 0..L as exact Fractions:
+    sum over m >= n1 > n2 > ... > nr >= 1 of 1/(n1^a1 ... nr^ar), summed
+    innermost layer first.  The empty composition is 1 at every m."""
+    inner = [Fraction(1)] * (L + 1)
+    for a in reversed(parts):
+        cur, s = [Fraction(0)], Fraction(0)
+        for m in range(1, L + 1):
+            s += inner[m - 1] / m**a
+            cur.append(s)
+        inner = cur
+    return tuple(inner)
+
+
 def star_fillings(parts):
     """All ways to replace the separators of an index by merges.
 

@@ -301,6 +301,16 @@ def test_certificate_output_is_pinned_byte_for_byte(capsys, argv):
     assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
 
 
+def test_numeric_sum_formula_output_is_pinned_byte_for_byte(capsys):
+    # recorded before the series shared their inner layers; kept out of
+    # PINNED_STDOUT so that the IDs of its sorted cases stay as they are
+    assert cli.run(["verify", "sum-formula", "--k", "12", "--numeric"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "d07daf0186edb9a5f78b0ce42c0429d67ae2e1b8004e23403e4d34958a355c37"
+    )
+
+
 def test_each_certificate_is_verified_once(capsys, monkeypatch):
     calls = []
     verify = reduction.verify_certificates

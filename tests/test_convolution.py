@@ -1,14 +1,25 @@
 """Hölder-convolution evaluator: proved error bounds against independent
 oracles (closed forms, the truncated nested sums, exact tails)."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from izeta.algebra import FormalSum, Index, Word, harmonic_product
-from izeta.numeric import _tail_bound, eval_element, mzsv, mzv
+from izeta.numeric import (
+    PREC,
+    _li_half,
+    _tail_bound,
+    _terms_needed,
+    _vectors,
+    eval_element,
+    mzsv,
+    mzv,
+)
 
-from helpers import admissible_tuples, truncated_checkpoints as _checkpoints
+from helpers import admissible_tuples, compositions, exact_layers
+from helpers import truncated_checkpoints as _checkpoints
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
@@ -79,13 +90,7 @@ def exact_tail(parts, N, extra=80):
     """Terms N < n1 <= N + extra of Li_parts(1/2) as an exact Fraction; the
     terms past N + extra are 2^-80 smaller than these."""
     L = N + extra
-    inner = [Fraction(1)] * (L + 1)
-    for a in reversed(parts[1:]):
-        cur, s = [Fraction(0)], Fraction(0)
-        for m in range(1, L + 1):
-            s += inner[m - 1] / m**a
-            cur.append(s)
-        inner = cur
+    inner = exact_layers(parts[1:], L)
     return sum(inner[n - 1] / (n ** parts[0] * 2**n) for n in range(N + 1, L + 1))
 
 
@@ -99,6 +104,36 @@ def test_tail_bound_covers_the_exact_tail(N):
             worst = exact_tail((head,) + (1,) * (depth - 1), N)
             assert worst <= bound <= 10 * worst, (head, depth, N)
             assert exact_tail((head,) + (2,) * (depth - 1), N) <= bound
+
+
+def test_each_fixed_point_series_brackets_its_exact_truncated_sum():
+    # T_N = sum over N >= n1 > ... > nr >= 1 of 2^-n1 / (n1^a1 ... nr^ar)
+    # in Fractions: the floors put 2^PREC T_N between the fixed-point sum
+    # and that sum plus its floor losses, which are err less the tail bound;
+    # the shared inner layers lie between their sums and losses likewise
+    for weight in range(1, 9):
+        for parts in compositions(weight):
+            a, top = parts[0], _terms_needed(parts[0], len(parts))
+            inner = exact_layers(parts[1:], top)
+            sums, lost = _vectors(parts[1:], top - 1)
+            for m in range(top):
+                assert sums[m] <= inner[m] * 2**PREC <= sums[m] + lost[m], (parts, m)
+            exact, n = Fraction(0), 0
+            for N in (1, 2, 7, top):
+                for n in range(n + 1, N + 1):
+                    exact += inner[n - 1] / (n**a << n)
+                total, err = _li_half(parts, N)
+                tail = math.ceil(math.ldexp(_tail_bound(a, len(parts), N), PREC))
+                assert total <= exact * 2**PREC <= total + err - tail, (parts, N)
+
+
+def test_terms_needed_is_the_first_count_a_linear_scan_accepts():
+    for a in range(1, 21):
+        for r in range(1, 21):
+            n = PREC // 2
+            while _tail_bound(a, r, n) > 2.0**-PREC:
+                n += 1
+            assert _terms_needed(a, r) == n, (a, r)
 
 
 def test_truncation_point_semantics():

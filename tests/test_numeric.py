@@ -1,10 +1,13 @@
 """Numeric evaluation: truncated sums, error estimates, identity checks."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+import izeta.numeric as numeric
 from izeta.algebra import FormalSum, Index, RatPoly, Word
 from izeta.identities import sum_poly, sum_words
 from izeta.interpolate import s_t
@@ -16,7 +19,7 @@ from izeta.numeric import (
     verify_identity,
 )
 
-from helpers import admissible_tuples, brute_nested_sum, star_fillings
+from helpers import admissible_tuples, brute_nested_sum, compositions, star_fillings
 
 M_SMALL = 20_000
 
@@ -214,3 +217,60 @@ def test_eval_element_scales_exactly_by_powers_of_two(alpha):
         for k in (1, 3, 10):
             scaled = eval_element(2**k * e, alpha, M)
             assert (scaled.value, scaled.err) == (2**k * r.value, 2**k * r.err)
+
+
+def test_every_numeric_memo_is_a_bounded_table_that_cache_clear_empties():
+    # sized so that verify sum-formula --k 16 --numeric, with its 16,384
+    # strict values, 49,151 series and 16,383 tails, evicts nothing
+    module = vars(numeric).items()
+    tables = {n: v for n, v in module if getattr(v, "__module__", None) == numeric.__name__
+              and hasattr(v, "cache_clear")}
+    bounds = {n: t.cache_parameters()["maxsize"] for n, t in tables.items()}
+    assert bounds == {"_terms_needed": 1 << 10, "_tail": 1 << 14, "_li_half": 1 << 16,
+                      "_strict": 1 << 15}
+    # no module-level container holds a table that cache_clear would miss
+    containers = (dict, list, set)
+    assert [n for n, v in module if not n.startswith("__") and isinstance(v, containers)] == []
+    before = mzv(Index((3, 1, 2)), 10**6)
+    assert all(t.cache_info().currsize for t in tables.values())
+    for t in tables.values():
+        t.cache_clear()
+    assert all(t.cache_info().currsize == 0 for t in tables.values())
+    assert mzv(Index((3, 1, 2)), 10**6) == before
+
+
+def test_a_tail_grows_without_changing_the_vectors_it_handed_out():
+    numeric._tail.cache_clear()
+    short = numeric._vectors((2, 1), 5)
+    kept = [list(v) for v in short]
+    longer = numeric._vectors((2, 1), 40)
+    assert [list(v) for v in short] == kept and len(kept[0]) == 6
+    assert [v[:6] for v in longer] == kept and len(longer[0]) == 41
+
+
+def test_threads_lengthening_shared_tails_get_the_values_of_one_thread():
+    # every call lengthens the tails it reads, in the same order in every
+    # thread, so that threads meet on one tail as often as they can
+    series = numeric._li_half.__wrapped__  # past its memo, onto the tails
+    cases = [(p, N) for N in range(1, 101) for w in range(1, 7) for p in compositions(w)]
+    numeric._tail.cache_clear()
+    expected = [series(*c) for c in cases]
+    numeric._tail.cache_clear()
+    start, results = threading.Barrier(8), []
+
+    def run():
+        start.wait(timeout=60)
+        results.append([series(*c) for c in cases])
+
+    threads = [threading.Thread(target=run) for _ in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 8
