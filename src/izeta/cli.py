@@ -98,27 +98,23 @@ def _emit(args, human, record):
 
 def _cmd_expand(args):
     idx = parse_index(args.index)
-    e = zeta_t_words(idx)
-    _emit(args, str(e), {"index": str(idx), "expansion": str(e)})
+    text = str(zeta_t_words(idx))
+    _emit(args, text, {"index": str(idx), "expansion": text})
     return 0
 
 
 def _cmd_st(args):
     w = parse_word(args.word)
-    e = s_t(FormalSum.from_word(w))
-    _emit(args, str(e), {"word": str(w), "result": str(e)})
+    text = str(s_t(FormalSum.from_word(w)))
+    _emit(args, text, {"word": str(w), "result": text})
     return 0
 
 
 def _cmd_product(args):
     left = parse_word(args.left)
     right = parse_word(args.right)
-    e = _PRODUCTS[args.mode](FormalSum.from_word(left), FormalSum.from_word(right))
-    _emit(
-        args,
-        str(e),
-        {"mode": args.mode, "left": str(left), "right": str(right), "result": str(e)},
-    )
+    text = str(_PRODUCTS[args.mode](FormalSum.from_word(left), FormalSum.from_word(right)))
+    _emit(args, text, {"mode": args.mode, "left": str(left), "right": str(right), "result": text})
     return 0
 
 

@@ -12,19 +12,24 @@ omega = x0^(k1-1) x1 ... x0^(kd-1) x1.  Splitting the integral over
 where B_j is omega without its first j letters and A_j is those j
 letters reversed, with x0 and x1 swapped.  Both words end in x1, and
 each series Li_a(1/2) = sum_{n1>...>nr>=1} 2^-n1 / (n1^a1 ... nr^ar)
-converges like 2^-n.
+converges like 2^-n.  The pairs are walked as parts, never as letters:
+at a letter x0, A gains a leading part 1 and B's first part drops by
+one; at a letter x1, A's first part grows by one and B drops its first
+part.
 
 Each series is summed in fixed point, as Python integers scaled by
 2^PREC.  Its inner layers, the sums over n >= n2 > ... > nr >= 1, depend
-only on n and on the letters after the first.  So each distinct tail of
-letters keeps two vectors at n = 0, 1, ...: its partial sums and its
-floor losses.  They are built from the vectors of the tail's own tail,
-lengthened when a larger N is asked for, and shared by every series
-that ends in that tail.  A series is then one pass of N steps with its
-2^-n.  Tails, series and strict values are kept in process-wide LRU
-tables, sized so that the sum formula at weight 16 evicts nothing.
-Every division is floored, so the sums are lower bounds, and the
-reported `err` is proved.  It adds up
+only on n and on the parts after the first.  So each distinct tail of
+parts is one memo entry of two vectors at n = 0..PREC-1, its partial
+sums and its floor losses, built once from the entry of the tail's own
+tail and shared by every series that ends in that tail.  No series
+reads past them: it sums at most 111 terms, since even at the worst
+head and depth, a = 1 and r = 6, the tail bound after 111 terms is
+0.92 * 2^-PREC.  A series is then one pass of N steps with its 2^-n.
+Tails, series and strict values are kept in process-wide LRU tables,
+sized so that the sum formula at weight 16 evicts nothing.  Every
+division is floored, so the sums are lower bounds, and the reported
+`err` is proved.  It adds up
 
 * the tail past the truncation point N: the inner sums are at most
   H_(n-1)^(r-1)/(r-1)!, so the tail is at most
@@ -87,10 +92,15 @@ def _tail_bound(a, r, N):
     g(n+1)/g(n) <= rho(n) = ((1 + ln(n+1)) / (1 + ln n))^(r-1) / 2,
     which falls with n.  So sum g(n) term by term until rho <= 3/4, then
     bound the rest by a geometric series.  Floats carry the arithmetic;
-    the final factor covers their rounding."""
+    the final factor covers their rounding.  Past depth 171, (r-1)! is
+    no float, so g is taken in logs; there the bound is below 2^-500, so
+    the rounding of the logs cannot matter at 2^-PREC."""
 
     def g(n):
-        return math.ldexp((1 + math.log(n)) ** (r - 1) * n**-a, -n) / math.factorial(r - 1)
+        if r <= 171:
+            return math.ldexp((1 + math.log(n)) ** (r - 1) * n**-a, -n) / math.factorial(r - 1)
+        ln = math.log(n)
+        return math.exp((r - 1) * math.log1p(ln) - a * ln - n * math.log(2) - math.lgamma(r))
 
     def rho(n):
         return ((1 + math.log(n + 1)) / (1 + math.log(n))) ** (r - 1) / 2
@@ -105,11 +115,11 @@ def _tail_bound(a, r, N):
 @lru_cache(maxsize=1 << 10)
 def _terms_needed(a, r):
     """Fewest terms, from PREC // 2 on, after which the tail is below
-    2^-PREC: the bound falls as N grows, so double until it holds, then
-    bisect."""
+    2^-PREC, found by bisection, as the bound falls as N grows.  PREC
+    terms always suffice: at N = PREC the bound is at most
+    0.46 * 2^-PREC, the worst over every depth being r = 6 and the worst
+    head a = 1."""
     lo, hi = PREC // 2, PREC
-    while _tail_bound(a, r, hi) > math.ldexp(1.0, -PREC):
-        lo, hi = hi + 1, 2 * hi
     while lo < hi:
         mid = (lo + hi) // 2
         if _tail_bound(a, r, mid) > math.ldexp(1.0, -PREC):
@@ -121,33 +131,22 @@ def _terms_needed(a, r):
 
 @lru_cache(maxsize=1 << 14)
 def _tail(parts):
-    """A one-slot list holding the two vectors of the inner layers `parts`
-    of a series, at n = 0, 1, ...: the partial sums over
-    n >= n1 > ... > nr >= 1 of 1/(n1^a1 ... nr^ar), scaled by 2^PREC, and
-    what their floors dropped.  `_vectors` lengthens them."""
-    return [([0], [0])]
-
-
-def _vectors(parts, N):
-    """The two vectors of `_tail(parts)` at n = 0..N at least; the empty
-    tail is 1 at every n.  Each layer reads its inner neighbour at n - 1,
-    so the prefixes never change: a longer pair replaces the stored one,
-    which no one changes, and callers sharing it can at worst compute an
-    extension twice."""
+    """The two vectors of the inner layers `parts` of a series at
+    n = 0..PREC-1: the partial sums over n >= n1 > ... > nr >= 1 of
+    1/(n1^a1 ... nr^ar), scaled by 2^PREC, and what their floors
+    dropped.  The empty tail is 1 at every n.  A series sums at most
+    PREC terms and reads its tail at n - 1, so no one reads past them.
+    Tuples, as every series ending in `parts` shares them."""
     if not parts:
-        return [_ONE] * (N + 1), [0] * (N + 1)
-    slot = _tail(parts)
-    sums, lost = slot[0]
-    if len(sums) <= N:
-        a, (inner, inner_lost) = parts[0], _vectors(parts[1:], N - 1)
-        sums, lost = sums[:], lost[:]
-        for n in range(len(sums), N + 1):
-            q = n**a
-            sums.append(sums[-1] + inner[n - 1] // q)
-            # floor((x - d)/q) misses x/q by less than d/q + 1
-            lost.append(lost[-1] - (-inner_lost[n - 1] // q) + 1)
-        slot[0] = sums, lost
-    return sums, lost
+        return (_ONE,) * PREC, (0,) * PREC
+    a, (inner, inner_lost) = parts[0], _tail(parts[1:])
+    sums, lost = [0], [0]
+    for n in range(1, PREC):
+        q = n**a
+        sums.append(sums[-1] + inner[n - 1] // q)
+        # floor((x - d)/q) misses x/q by less than d/q + 1
+        lost.append(lost[-1] - (-inner_lost[n - 1] // q) + 1)
+    return tuple(sums), tuple(lost)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -158,7 +157,7 @@ def _li_half(parts, N):
     down, so the series lies in [total, total + err], where err adds what
     the floors dropped to the tail bound.  One pass over n <= N, with its
     2^n, reads the inner layers at n - 1 from their shared vectors."""
-    a, (inner, inner_lost) = parts[0], _vectors(parts[1:], N - 1)
+    a, (inner, inner_lost) = parts[0], _tail(parts[1:])
     total = lost = 0
     for n in range(1, N + 1):
         q = n**a << n
@@ -168,29 +167,34 @@ def _li_half(parts, N):
     return total, lost + tail
 
 
-def _series(word, M):
-    """Li_word(1/2) at scale 2^PREC: (lower bound, error bound)."""
-    if not word:
+def _series(parts, M):
+    """Li_parts(1/2) at scale 2^PREC: (lower bound, error bound)."""
+    if not parts:
         return _ONE, 0
-    parts, run = [], 1
-    for letter in word:
-        if letter:
-            parts.append(run)
-            run = 1
-        else:
-            run += 1
-    return _li_half(tuple(parts), min(M, _terms_needed(parts[0], len(parts))))
+    return _li_half(parts, min(M, _terms_needed(parts[0], len(parts))))
+
+
+def _splits(parts):
+    """The pairs (A_j, B_j), j = 0..w, of the admissible index `parts` of
+    weight w, as parts.  B_j loses the letter that A_j gains."""
+    a, b = (), parts
+    yield a, b
+    while b:
+        if b[0] > 1:  # x0: A gains a leading x1, B's first part shrinks
+            a, b = (1,) + a, (b[0] - 1,) + b[1:]
+        else:  # x1: A gains a leading x0, B's first part, 1, goes
+            a, b = (a[0] + 1,) + a[1:], b[1:]
+        yield a, b
 
 
 @lru_cache(maxsize=1 << 15)
 def _strict(parts, M):
     """zeta(parts) by Hölder convolution at scale 4^PREC: (lower bound,
     error bound).  Each series sums at most M terms."""
-    omega = tuple(letter for k in parts for letter in (0,) * (k - 1) + (1,))
     value = bound = 0
-    for j in range(len(omega) + 1):
-        a, ea = _series(tuple(1 - x for x in reversed(omega[:j])), M)
-        b, eb = _series(omega[j:], M)
+    for pa, pb in _splits(parts):
+        a, ea = _series(pa, M)
+        b, eb = _series(pb, M)
         value += a * b
         bound += a * eb + b * ea + ea * eb
     return value, bound

@@ -270,6 +270,30 @@ def exact_layers(parts, L):
     return tuple(inner)
 
 
+def letter_splits(parts):
+    """The pairs (A_j, B_j), j = 0..w, of the Hölder convolution of an
+    admissible index of weight w, built from letters: the word
+    omega = x0^(k1-1) x1 ... x0^(kd-1) x1 (x0 = 0, x1 = 1), B_j is omega
+    without its first j letters and A_j is those letters reversed, with
+    x0 and x1 swapped.  Each word is read back as parts, one per x1."""
+
+    def as_parts(word):
+        parts, run = [], 1
+        for letter in word:
+            if letter:
+                parts.append(run)
+                run = 1
+            else:
+                run += 1
+        return tuple(parts)
+
+    omega = tuple(letter for k in parts for letter in (0,) * (k - 1) + (1,))
+    return [
+        (as_parts(1 - x for x in reversed(omega[:j])), as_parts(omega[j:]))
+        for j in range(len(omega) + 1)
+    ]
+
+
 def star_fillings(parts):
     """All ways to replace the separators of an index by merges.
 

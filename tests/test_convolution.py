@@ -10,15 +10,16 @@ from izeta.algebra import FormalSum, Index, Word, harmonic_product
 from izeta.numeric import (
     PREC,
     _li_half,
+    _splits,
+    _tail,
     _tail_bound,
     _terms_needed,
-    _vectors,
     eval_element,
     mzsv,
     mzv,
 )
 
-from helpers import admissible_tuples, compositions, exact_layers
+from helpers import admissible_tuples, compositions, exact_layers, letter_splits
 from helpers import truncated_checkpoints as _checkpoints
 
 mpmath = pytest.importorskip("mpmath")
@@ -115,7 +116,7 @@ def test_each_fixed_point_series_brackets_its_exact_truncated_sum():
         for parts in compositions(weight):
             a, top = parts[0], _terms_needed(parts[0], len(parts))
             inner = exact_layers(parts[1:], top)
-            sums, lost = _vectors(parts[1:], top - 1)
+            sums, lost = _tail(parts[1:])
             for m in range(top):
                 assert sums[m] <= inner[m] * 2**PREC <= sums[m] + lost[m], (parts, m)
             exact, n = Fraction(0), 0
@@ -134,6 +135,27 @@ def test_terms_needed_is_the_first_count_a_linear_scan_accepts():
             while _tail_bound(a, r, n) > 2.0**-PREC:
                 n += 1
             assert _terms_needed(a, r) == n, (a, r)
+
+
+def test_prec_terms_always_suffice():
+    # so a tail's vectors stop at n = PREC - 1 and _terms_needed bisects
+    # in [PREC // 2, PREC] without looking further; a = 1 is the worst head
+    for r in range(1, 201):
+        assert _tail_bound(1, r, PREC) <= 2.0**-PREC, r
+
+
+def test_the_parts_walk_gives_the_pairs_of_the_letter_words():
+    indices = admissible_tuples(10)
+    assert len(indices) == 511
+    for parts in indices:
+        assert list(_splits(parts)) == letter_splits(parts), parts
+
+
+@pytest.mark.parametrize("depth", [172, 200])
+def test_deep_series_meet_duality(depth):
+    # zeta(2, {1}^(d-1)) = zeta(d + 1); from depth 172 on (r-1)! is no float
+    r = mzv(Index((2,) + (1,) * (depth - 1)), 10**6)
+    assert abs(mpmath.mpf(r.value) - zeta(depth + 1)) <= r.err
 
 
 def test_truncation_point_semantics():

@@ -239,15 +239,6 @@ def test_every_numeric_memo_is_a_bounded_table_that_cache_clear_empties():
     assert mzv(Index((3, 1, 2)), 10**6) == before
 
 
-def test_a_tail_grows_without_changing_the_vectors_it_handed_out():
-    numeric._tail.cache_clear()
-    short = numeric._vectors((2, 1), 5)
-    kept = [list(v) for v in short]
-    longer = numeric._vectors((2, 1), 40)
-    assert [list(v) for v in short] == kept and len(kept[0]) == 6
-    assert [v[:6] for v in longer] == kept and len(longer[0]) == 41
-
-
 def test_threads_lengthening_shared_tails_get_the_values_of_one_thread():
     # every call lengthens the tails it reads, in the same order in every
     # thread, so that threads meet on one tail as often as they can
