@@ -41,7 +41,7 @@ and so do `identities.words_of_weight`, `identities.sum_words` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cache
 from itertools import accumulate
 from math import lcm
@@ -60,8 +60,7 @@ from .algebra import (
 )
 
 
-@dataclass(frozen=True)
-class Contraction:
+class Contraction(namedtuple("Contraction", "marks sigma")):
     """A contraction pattern of a length-n word.
 
     `marks` are the block boundaries 0 = r0 < r1 < ... < rs = n; letters
@@ -69,15 +68,14 @@ class Contraction:
     `sigma` counts the merges, n - s.
     """
 
-    marks: tuple[int, ...]
-    sigma: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = self.marks
-        if not m or m[0] != 0 or any(a >= b for a, b in zip(m, m[1:])):
-            raise ValueError(f"invalid contraction marks {m!r}")
-        if self.sigma != m[-1] - (len(m) - 1):
+    def __new__(cls, marks, sigma):
+        if not marks or marks[0] != 0 or any(a >= b for a, b in zip(marks, marks[1:])):
+            raise ValueError(f"invalid contraction marks {marks!r}")
+        if sigma != marks[-1] - (len(marks) - 1):
             raise ValueError("sigma inconsistent with marks")
+        return super().__new__(cls, marks, sigma)
 
 
 def enumerate_contractions(w):

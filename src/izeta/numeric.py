@@ -49,11 +49,9 @@ values, taken exactly and rounded once: 1 for `mzv` and `mzsv`, and
 the coefficients at t over their common denominator for `eval_element`.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -72,14 +70,10 @@ def kernel_name():
     return "python"
 
 
-@dataclass(frozen=True)
-class NumResult:
+class NumResult(namedtuple("NumResult", "value err M meta")):
     """A float value with its proved error bound and provenance."""
 
-    value: float
-    err: float
-    M: int
-    meta: str
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.meta} = {self.value!r} (err<={self.err:.3e}, M={self.M})"
@@ -94,7 +88,9 @@ def _tail_bound(a, r, N):
     bound the rest by a geometric series.  Floats carry the arithmetic;
     the final factor covers their rounding.  Past depth 171, (r-1)! is
     no float, so g is taken in logs; there the bound is below 2^-500, so
-    the rounding of the logs cannot matter at 2^-PREC."""
+    the rounding of the logs cannot matter at 2^-PREC.  The bound is
+    never below 2^-PREC: where the floats underflow, to zero at a high
+    head or depth, the true tail lies far below that."""
 
     def g(n):
         if r <= 171:
@@ -109,7 +105,7 @@ def _tail_bound(a, r, N):
     while rho(n) > 0.75:
         total += g(n)
         n += 1
-    return (total + g(n) / (1 - rho(n))) * (1 + 1e-9)
+    return max((total + g(n) / (1 - rho(n))) * (1 + 1e-9), math.ldexp(1.0, -PREC))
 
 
 @lru_cache(maxsize=1 << 10)
@@ -276,15 +272,10 @@ def eval_element(e, alpha, M):
     return _result(den, coeffs, M, f"element@t={alpha}")
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(namedtuple("IdentityCheck", "t lhs rhs residual tol")):
     """Both sides of an identity at one parameter sample."""
 
-    t: Fraction
-    lhs: NumResult
-    rhs: NumResult
-    residual: float
-    tol: float
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -298,11 +289,10 @@ class IdentityCheck:
         )
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(namedtuple("VerifyReport", "checks")):
     """Residual report for one identity over a set of t samples."""
 
-    checks: tuple
+    __slots__ = ()
 
     @property
     def ok(self):

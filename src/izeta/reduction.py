@@ -33,13 +33,10 @@ certificate of one call shares one generator list.  The verifier and the
 JSON records do each shared object's work once.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import FormalSum, _as_exact, _t_free_sum, as_sum
+from .algebra import _as_exact, _t_free_sum, as_sum
 from .identities import (_cyclic_graded, _rotations, _sum_formula_graded, cyclic_sides,
                          sum_formula_sides, words_of_weight)
 from .interpolate import _taylor_parts
@@ -57,7 +54,6 @@ def _integer_form(e):
 _ZERO = Fraction(0)
 
 
-@dataclass
 class RelationCertificate:
     """Outcome of one span-membership question.
 
@@ -65,10 +61,18 @@ class RelationCertificate:
     in the span; it is None on failure.  `verify` re-substitutes exactly.
     """
 
-    target: FormalSum
-    generators: list
-    coefficients: list | None
-    label: str = ""
+    def __init__(self, target, generators, coefficients, label=""):
+        self.target, self.generators = target, generators
+        self.coefficients, self.label = coefficients, label
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
 
     @property
     def success(self):

@@ -128,6 +128,18 @@ def test_each_fixed_point_series_brackets_its_exact_truncated_sum():
                 assert total <= exact * 2**PREC <= total + err - tail, (parts, N)
 
 
+def test_a_tail_bound_whose_floats_underflow_still_covers_the_tail():
+    # its floats underflow to zero at a high head or at a high depth
+    assert 0 < exact_tail((200,), 56) <= Fraction(_tail_bound(200, 1, 56))
+    # at depth 250 the first nonzero term is n1 = 250 > n2 > ... > n250 = 1
+    first = Fraction(1, 2**250 * 250**2 * math.factorial(249))
+    assert first <= Fraction(_tail_bound(2, 250, 56))
+    # the inner layer of (200,) is exact, so each of the 56 terms loses
+    # one unit to its floor; err must add the tail on top of those
+    _, err = _li_half((200,), 56)
+    assert err > 56
+
+
 def test_terms_needed_is_the_first_count_a_linear_scan_accepts():
     for a in range(1, 21):
         for r in range(1, 21):

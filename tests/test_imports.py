@@ -1,10 +1,16 @@
 """Every name a package or test module imports is used in that module, the
 unchecked constructors of `algebra` stay out of the command line, the
 command line imports no private name of the package, the package keeps no
-hidden state, and every public function and class is documented."""
+hidden state, every public function and class is documented, and
+importing the package and its command line stays off the slow
+`dataclasses` -> `inspect` chain."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import izeta
@@ -295,3 +301,26 @@ def test_every_public_function_and_class_has_a_docstring():
     }
     assert public and public <= defined  # no public name escapes the check
     assert [hit for source in sources for hit in undocumented(source, public)] == []
+
+
+# Standard modules that a fresh process must not pay for at start-up:
+# `dataclasses` pulls in `inspect`, and `inspect` pulls in `ast`, `dis`
+# and `tokenize`.
+SLOW_IMPORTS = {"dataclasses", "inspect"}
+
+
+def test_importing_the_package_and_its_cli_loads_no_slow_module():
+    # the difference of sys.modules does not depend on what `site` loads
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import izeta, izeta.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(json.loads(out.stdout))
+    assert "izeta.cli" in added
+    assert added & SLOW_IMPORTS == set()

@@ -239,9 +239,10 @@ def test_every_numeric_memo_is_a_bounded_table_that_cache_clear_empties():
     assert mzv(Index((3, 1, 2)), 10**6) == before
 
 
-def test_threads_lengthening_shared_tails_get_the_values_of_one_thread():
-    # every call lengthens the tails it reads, in the same order in every
-    # thread, so that threads meet on one tail as often as they can
+def test_threads_sharing_the_tail_memo_from_a_cold_start_get_the_values_of_one_thread():
+    # 8 threads build and read the shared `_tail` memo from a cold start,
+    # each running the same calls in the same order; each must get what
+    # one thread alone got
     series = numeric._li_half.__wrapped__  # past its memo, onto the tails
     cases = [(p, N) for N in range(1, 101) for w in range(1, 7) for p in compositions(w)]
     numeric._tail.cache_clear()
