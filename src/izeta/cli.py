@@ -2,7 +2,9 @@
 
 Verbs: expand, st, product, eval work on single elements; verify runs the
 identity suites.  Exit status: 0 all checks passed, 1 at least one check
-failed, 2 usage or domain error (malformed input, divergent index).
+failed, 2 usage or domain error (malformed input, divergent index), 141
+stdout closed before all output was written (as in `izeta ... | head`; a
+shell reports 128 + SIGPIPE for a process that the signal ends).
 Exact rationals on the command line are written p/q.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -22,7 +25,7 @@ from .algebra import (
     star_product,
     t_harmonic_product,
 )
-from .identities import alt_sum, two_one_lhs_index, two_one_rhs_word
+from .identities import alt_sum, formal_sides, two_one_lhs_index, two_one_rhs_word
 from .interpolate import s_alpha, s_t, zeta_t_words
 from .numeric import BOUND, METHOD, eval_element, kernel_name, verify_identity
 from .reduction import (
@@ -145,20 +148,24 @@ def _cmd_verify_reduction(args):
     identity at t; exit 1 if a certificate or a numeric check fails."""
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t)
-    relations = args.relations(args.k, args.numeric)
-    # Under --numeric each identity's sides are built once, as formal sums
-    # for both checks, and evaluated once per relation key as they are
-    # built, before any certificate, so the evaluator rejects a bad --M at
-    # the first side too deep for it.  Without it the relations stay lazy
-    # and graded: no side outlives its Taylor shift.
-    reports, built, by_key = [], [], {}
-    for relation in relations if args.numeric else ():
-        label, sides, _, key = relation
-        if key not in by_key:
-            by_key[key] = verify_identity(*sides, [t], args.M)
-        reports.append((label, by_key[key]))
-        built.append(relation)
-    certs = certify_relations(args.suite, built if args.numeric else relations, 0)
+    relations = args.relations(args.k)
+    # Each identity's sides are built once, graded, at its key's first
+    # relation.  Without --numeric the relations stay lazy: no side
+    # outlives its Taylor shift.  Under --numeric they are listed with
+    # those sides as formal sums, which serve both checks, and each key is
+    # evaluated once before any certificate, so a bad --M is rejected
+    # before any solve.
+    reports, by_key = [], {}
+    if args.numeric:
+        relations = [
+            (label, None if sides is None else formal_sides(sides), powers, key)
+            for label, sides, powers, key in relations
+        ]
+        for label, sides, _, key in relations:
+            if key not in by_key:
+                by_key[key] = verify_identity(*sides, [t], args.M)
+            reports.append((label, by_key[key]))
+    certs = certify_relations(args.suite, relations, 0)
     oks = verify_certificates(certs)
     ok = all(oks)
     if args.json:
@@ -310,8 +317,22 @@ def run(argv=None):
         return 2
 
 
+# the status a shell reports for a process that SIGPIPE ends, 128 + 13
+_CLOSED_STDOUT = 141
+
+
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe raises here at the latest
+    except BrokenPipeError:
+        # The reader is gone.  Point fd 1 at devnull, so that the flush at
+        # exit does not fail again, and exit with a status of its own: 1
+        # would read as a failed check.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = _CLOSED_STDOUT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,9 @@ graded integer form {word: {degree in t: int}} of the operator's
 whole-sum recursion (`_sum_formula_graded`, `_cyclic_graded`): S^t of a
 sum of words, times (1 - t), plus z_k times the interpolation
 polynomial or k t^n z_(k+1).  The reduction certificates read that form
-directly; `sum_formula_sides` and `cyclic_sides` turn it into the pair of
-formal sums that the numeric checks evaluate."""
+directly; `formal_sides` turns a graded pair into the pair of formal sums
+that the numeric checks evaluate, and `sum_formula_sides` and
+`cyclic_sides` are the two identities in that form."""
 
 from __future__ import annotations
 
@@ -83,6 +84,12 @@ def _s_t_of_words(words):
     return _s_t_graded([(u, {0: 1}) for u in words])
 
 
+def formal_sides(sides):
+    """The graded sides {word: {degree in t: int}} of an identity, as the
+    tuple of formal sums they state."""
+    return tuple(_reduced(1, side) for side in sides)
+
+
 def _sum_formula_graded(k, n):
     """`sum_formula_sides(k, n)` as {word: {degree: int}} each."""
     rhs = {(k,): _sum_poly_coeffs(k, n)}
@@ -93,7 +100,7 @@ def sum_formula_sides(k, n):
     """The two sides of the interpolated sum formula at weight k and depth
     n: S^t of the sum of all admissible words of weight k and depth n, and
     z_k times `sum_poly(k, n)`.  Their values agree for every t."""
-    return tuple(_reduced(1, side) for side in _sum_formula_graded(k, n))
+    return formal_sides(_sum_formula_graded(k, n))
 
 
 def _rotations(parts):
@@ -154,7 +161,7 @@ def cyclic_sides(w):
     weight k and depth n < k: S^t(Sigma w), the rotations split at the
     head, and (1 - t) S^t(C w) + k t^n z_{k+1}, the rotations with the head
     raised.  Their values agree for every t."""
-    return tuple(_reduced(1, side) for side in _cyclic_graded(w))
+    return formal_sides(_cyclic_graded(w))
 
 
 def csf_generator(w):

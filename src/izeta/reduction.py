@@ -26,7 +26,10 @@ verifier.
 
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
-since the cyclic sum formula sums over all rotations.  Relations with one
+since the cyclic sum formula sums over all rotations.  The relation
+builders yield graded sides only, each built once, at its key's first
+relation, and not kept: the later relations of a key carry None, since
+every consumer reads sides only at a new key.  Relations with one
 key are shifted and solved once: their certificates keep their own
 labels but share the target and coefficient-list objects, and every
 certificate of one call shares one generator list.  The verifier and the
@@ -37,8 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .algebra import _as_exact, _t_free_sum, as_sum
-from .identities import (_cyclic_graded, _rotations, _sum_formula_graded, cyclic_sides,
-                         sum_formula_sides, words_of_weight)
+from .identities import _cyclic_graded, _rotations, _sum_formula_graded, words_of_weight
 from .interpolate import _taylor_parts
 
 
@@ -256,7 +258,9 @@ def certify_relations(suite, relations, alpha):
 
     `relations` yields (label, (lhs, rhs), number of powers, key) tuples,
     where relations with one key state one identity, and lhs and rhs are
-    graded or formal sums with integer coefficients.  The Taylor
+    graded or formal sums with integer coefficients.  The sides are read
+    only at a key's first relation, so the later ones may carry None, as
+    in `cyclic_relations`.  The Taylor
     coefficients of lhs - rhs, padded with zeros to the number of powers,
     are taken in integers and solved once per key, and only they are kept,
     never the sides.  There is one certificate per relation and power,
@@ -293,34 +297,32 @@ def _check_weight(k):
         raise ValueError("weight must be at least 2")
 
 
-def sum_formula_relations(k, numeric=False):
+def sum_formula_relations(k):
     """The weight-k sum formula, one relation per depth n < k, as
-    (label, (lhs, rhs), number of powers of t - alpha, key): the degree in
-    t is below n, and the key is n, so no two relations share one.  The
-    sides are graded, or with `numeric` the formal sums of
-    `sum_formula_sides`.  The weight is checked at once; each relation's
-    sides are built when it is reached."""
+    (label, (lhs, rhs), number of powers of t - alpha, key): the sides are
+    graded, {word: {degree in t: int}}, the degree in t is below n, and
+    the key is n, so no two relations share one.  The weight is checked at
+    once; each relation's sides are built when it is reached."""
     _check_weight(k)
-    build = sum_formula_sides if numeric else _sum_formula_graded
-    return ((f"k={k} n={n}", build(k, n), n, n) for n in range(1, k))
+    return ((f"k={k} n={n}", _sum_formula_graded(k, n), n, n) for n in range(1, k))
 
 
-def cyclic_relations(k, numeric=False):
+def cyclic_relations(k):
     """The weight-k cyclic sum formula, one relation per word w of weight
     k and depth below k, as in `sum_formula_relations`: the degree in t is
     at most the depth of w.  Both sides sum over the rotations of w, so
-    the key is w's least rotation, and the words of one rotation class
-    yield one sides object, built when the first of them is reached.  The
+    the key is w's least rotation.  The first word of a rotation class
+    carries that class's sides, built when it is reached; the other words
+    of the class carry None, so no sides are kept here once yielded.  The
     weight is checked at once."""
     _check_weight(k)
-    build = cyclic_sides if numeric else _cyclic_graded
-    sides = {}  # least rotation -> that class's sides
+    seen = set()  # least rotations of the classes already yielded
 
     def relation(w):
         key = min(_rotations(w))
-        if key not in sides:
-            sides[key] = build(w)
-        return f"k={k} word={w}", sides[key], w.depth + 1, key
+        sides = None if key in seen else _cyclic_graded(w)
+        seen.add(key)
+        return f"k={k} word={w}", sides, w.depth + 1, key
 
     return (relation(w) for w in words_of_weight(k) if w.depth < k)
 

@@ -5,6 +5,8 @@ the package's own FormalSum/RatPoly layers, so that a bug in the symbolic
 machinery cannot hide inside its own oracle.
 """
 
+import json
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -404,3 +406,52 @@ def sum_formula_relation_parts(k, n, alpha):
             _add(part, (k,), -scale)
         shifted.append(part)
     return shifted
+
+
+# one printed term of a t-free formal sum: a rational coefficient in
+# parentheses times a bracketed word, as in "(-3/2)*[2,1]"
+_PRINTED_TERM = re.compile(r"\((-?\d+(?:/\d+)?)\)\*\[(\d+(?:,\d+)*)?\]")
+
+
+def parse_printed_sum(text):
+    """{letter tuple: nonzero Fraction} of a t-free formal sum as printed:
+    "(p)*[w]" terms joined by " + ", or "0".  Raises ValueError on any
+    other text, a power of t included, and on a repeated word or a zero
+    coefficient."""
+    out = {}
+    for term in [] if text == "0" else text.split(" + "):
+        m = _PRINTED_TERM.fullmatch(term)
+        if not m:
+            raise ValueError(f"not a t-free term: {term!r}")
+        word = tuple(int(x) for x in m[2].split(",")) if m[2] else ()
+        c = Fraction(m[1])
+        if not c or word in out:
+            raise ValueError(f"not in normal form: {text!r}")
+        out[word] = c
+    return out
+
+
+def printed_certificates_hold(document):
+    """Whether each record of a `verify ... --json` document, given as its
+    text, is a certificate that holds: marked successful, with one
+    coefficient per generator, and target = sum c_i g_i word by word.
+    Reads only the printed strings, each printed sum parsed once."""
+    parsed = {}
+
+    def sum_of(text):
+        if text not in parsed:
+            parsed[text] = parse_printed_sum(text)
+        return parsed[text]
+
+    verdicts = []
+    for record in json.loads(document)["checks"]:
+        coeffs, gens = record["coefficients"], record["generators"]
+        if coeffs == "FAILURE" or not record["success"] or len(coeffs) != len(gens):
+            verdicts.append(False)
+            continue
+        acc = dict(sum_of(record["target"]))
+        for c, g in zip(map(Fraction, coeffs), gens):
+            for word, x in sum_of(g).items() if c else ():
+                _add(acc, word, -c * x)
+        verdicts.append(not acc)
+    return verdicts

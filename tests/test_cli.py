@@ -15,11 +15,14 @@ from pathlib import Path
 import pytest
 
 import izeta.cli as cli
+import izeta.identities as identities
 import izeta.reduction as reduction
 from izeta.algebra import FormalSum, Index, Word, parse_formal_sum, t_harmonic_product
 from izeta.interpolate import s_t
 from izeta.numeric import eval_element, mzsv
 from izeta.reduction import RelationCertificate
+
+from helpers import compositions, parse_printed_sum, printed_certificates_hold
 
 
 def w(*letters):
@@ -376,7 +379,7 @@ def _identity(label):
 @pytest.mark.parametrize("suite, k, relations", [("sum-formula", "7", 6), ("cyclic", "5", 15)])
 def test_numeric_builds_each_relation_once(capsys, monkeypatch, suite, k, relations):
     calls, evaluated = [], []
-    for name in ("sum_formula_sides", "cyclic_sides"):
+    for name in ("_sum_formula_graded", "_cyclic_graded"):
         build = getattr(reduction, name)
         monkeypatch.setattr(
             reduction, name, lambda *args, build=build: calls.append(args) or build(*args)
@@ -426,6 +429,74 @@ def test_json_survives_signals_while_stdout_blocks():
     out, _ = child.communicate(timeout=120)
     assert child.returncode == 0
     assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback():
+    # 138 KB of stdout, more than a pipe holds, so a write after the
+    # reader has gone meets a closed pipe
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "izeta", "verify", "cyclic", "--k", "10"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert child.stdout.readline() == b"ok   cyclic k=10 word=10 power=0\n"
+    child.stdout.close()
+    err = child.stderr.read()
+    assert child.wait(timeout=120) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("suite, k", [("cyclic", 6), ("sum-formula", 9)])
+def test_only_numeric_converts_sides_to_formal_sums(capsys, monkeypatch, suite, k):
+    calls = []
+    convert = identities.formal_sides
+    spy = lambda sides: calls.append(sides) or convert(sides)
+    # every route to the converter: the cli's name and the identities' own
+    monkeypatch.setattr(cli, "formal_sides", spy)
+    monkeypatch.setattr(identities, "formal_sides", spy)
+    assert cli.run(["verify", suite, "--k", str(k)]) == 0
+    assert calls == []
+    assert cli.run(["verify", suite, "--k", str(k), "--numeric"]) == 0
+    capsys.readouterr()
+    # once per identity: a depth, or a rotation class of a cyclic word
+    words = [v for v in compositions(k) if len(v) < k]
+    classes = {min(v[i:] + v[:i] for i in range(len(v))) for v in words}
+    assert len(calls) == (len(classes) if suite == "cyclic" else k - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "cyclic", "--k", "6", "--json"], ["verify", "sum-formula", "--k", "9", "--json"]],
+)
+def test_printed_certificates_hold_by_a_check_on_the_text_alone(capsys, argv):
+    assert cli.run(argv) == 0
+    document = capsys.readouterr().out
+    verdicts = printed_certificates_hold(document)
+    assert verdicts and all(verdicts)
+    # change one nonzero coefficient on a nonzero generator: the check fails
+    # that record and no other
+    doc = json.loads(document)
+    n, i = next(
+        (n, i)
+        for n, record in enumerate(doc["checks"])
+        for i, (c, g) in enumerate(zip(record["coefficients"], record["generators"]))
+        if c != "0" and g != "0"
+    )
+    coeffs = doc["checks"][n]["coefficients"]
+    coeffs[i] = str(Fraction(coeffs[i]) + 1)
+    verdicts = printed_certificates_hold(json.dumps(doc))
+    assert [v for v in verdicts if not v] == [False] and not verdicts[n]
+
+
+def test_the_printed_sum_parser_refuses_what_is_not_a_t_free_sum():
+    assert parse_printed_sum("(1)*[2,1] + (-3/2)*[3]") == {(2, 1): 1, (3,): Fraction(-3, 2)}
+    assert parse_printed_sum("0") == {}
+    for text in ["(t)*[3]", "(1 - t)*[2,1]", "(0)*[3]", "(1)*[3] + (2)*[3]", "1*[3]", ""]:
+        with pytest.raises(ValueError):
+            parse_printed_sum(text)
 
 
 @pytest.mark.parametrize(

@@ -441,6 +441,34 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
     assert all(verify_certificates(certs)) and calls["_integer_form"] > 0
 
 
+def _is_graded(side, powers):
+    """Whether a side is {word: {degree below powers: nonzero int}}."""
+    return type(side) is dict and all(
+        type(c) is dict and c and all(
+            type(d) is int and 0 <= d < powers and type(x) is int and x for d, x in c.items()
+        )
+        for c in side.values()
+    )
+
+
+def test_relation_streams_carry_graded_sides_at_each_keys_first_relation():
+    relations = list(reduction.cyclic_relations(8))
+    assert len(relations) == 127
+    first = {}  # key -> label of its first relation, in stream order
+    for label, _, _, key in relations:
+        first.setdefault(key, label)
+    carried = [(label, sides, powers) for label, sides, powers, _ in relations if sides is not None]
+    assert len(carried) == 34
+    assert [label for label, _, _ in carried] == list(first.values())
+    assert all(_is_graded(side, powers) for _, sides, powers in carried for side in sides)
+    relations = list(reduction.sum_formula_relations(11))
+    assert [key for *_, key in relations] == list(range(1, 11))
+    assert all(
+        len(sides) == 2 and all(_is_graded(side, powers) for side in sides)
+        for _, sides, powers, _ in relations
+    )
+
+
 @pytest.mark.parametrize("coefficients", [[2, 0, 99], [2, 0, 0], [2], []])
 def test_verify_fails_a_coefficient_list_of_the_wrong_length(coefficients):
     g = w(2, 1) - w(3)
