@@ -2,9 +2,10 @@
 
 Verbs: expand, st, product, eval work on single elements; verify runs the
 identity suites.  Exit status: 0 all checks passed, 1 at least one check
-failed, 2 usage or domain error (malformed input, divergent index), 141
-stdout closed before all output was written (as in `izeta ... | head`; a
-shell reports 128 + SIGPIPE for a process that the signal ends).
+failed, 2 usage or domain error (malformed input, divergent index, a
+request nested deeper than Python's recursion limit), 141 stdout closed
+before all output was written (as in `izeta ... | head`; a shell reports
+128 + SIGPIPE for a process that the signal ends).
 Exact rationals on the command line are written p/q.
 """
 
@@ -150,21 +151,22 @@ def _cmd_verify_reduction(args):
     t = _fraction(args.t)
     relations = args.relations(args.k)
     # Each identity's sides are built once, graded, at its key's first
-    # relation.  Without --numeric the relations stay lazy: no side
-    # outlives its Taylor shift.  Under --numeric they are listed with
-    # those sides as formal sums, which serve both checks, and each key is
-    # evaluated once before any certificate, so a bad --M is rejected
-    # before any solve.
-    reports, by_key = [], {}
-    if args.numeric:
-        relations = [
-            (label, None if sides is None else formal_sides(sides), powers, key)
-            for label, sides, powers, key in relations
-        ]
-        for label, sides, _, key in relations:
+    # relation, and no side outlives its Taylor shift.  Under --numeric
+    # each key's sides are evaluated as they pass and handed on unchanged;
+    # `certify_relations` reads the stream whole before it solves, so a
+    # bad --M is rejected before any solve.
+    reports = []
+
+    def evaluated(relations):
+        by_key = {}
+        for label, sides, powers, key in relations:
             if key not in by_key:
-                by_key[key] = verify_identity(*sides, [t], args.M)
+                by_key[key] = verify_identity(*formal_sides(sides), [t], args.M)
             reports.append((label, by_key[key]))
+            yield label, sides, powers, key
+
+    if args.numeric:
+        relations = evaluated(relations)
     certs = certify_relations(args.suite, relations, 0)
     oks = verify_certificates(certs)
     ok = all(oks)
@@ -312,7 +314,7 @@ def run(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,11 +26,11 @@ sum stores, over its denominator, and what the identities are stated in
 and the reduction certificates read: `s_t` runs the recursion on a sum's
 stored integers and keeps its denominator, and `s_alpha` evaluates each
 stored dict at alpha once per word length (`algebra._at_alpha`).
-`_taylor_parts` takes the (t - alpha)^m parts of one side, graded or a
-formal sum, or of the difference of two, put over their common
-denominator, split by degree and re-expanded about alpha = p/q by
-Horner's rule in integers, each part left as integers over a
-denominator.  `taylor_shift` is those parts of one formal sum, stored by
+`_taylor_parts` takes the (t - alpha)^m parts of one graded side, or
+of the difference of two, split by degree and re-expanded about
+alpha = p/q by Horner's rule in integers, each part left as integers
+over a power of q.  `taylor_shift` is those parts of one formal sum's
+stored integers, over its denominator times that power, stored by
 `algebra._t_free_sum`, as the certificate targets are.  Results are
 built with the trusted constructors of `algebra` from the validated
 input.
@@ -44,7 +44,6 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cache
 from itertools import accumulate
-from math import lcm
 
 from .algebra import (
     FormalSum,
@@ -220,21 +219,18 @@ def d_dt(e):
 def _taylor_parts(sides, alpha, powers):
     """The (t - alpha)^m parts, m < `powers`, of lhs - rhs for `sides`
     (lhs, rhs), or of lhs for (lhs,): each side graded, {word: {degree:
-    int}}, or a formal sum, every degree below `powers`.  Each part is
-    (den, {word: int}) with no zero, the part being that over den.  The
-    sides are put over their common denominator L, and splitting by
-    degree into P_0, ..., P_d, d = powers - 1, gives the parts at
-    alpha = 0.  Any other alpha = p/q re-expands the split by Horner's
-    rule in integers: the parts R_j = q^(d-j) P_j of q^d e(t/q), scaled as
-    they are split, are shifted to the integer p, for i < d, and j from
-    d - 1 down to i, R_j += p R_(j+1), and part m is R_m over L q^(d-m).
-    So R_m is sum_j C(j, m) p^(j-m) q^(d-j+m) P_j, with integer factors."""
+    int}}, every degree below `powers`.  Each part is (den, {word: int})
+    with no zero, the part being that over den.  Splitting by degree into
+    P_0, ..., P_d, d = powers - 1, gives the parts at alpha = 0.  Any
+    other alpha = p/q re-expands the split by Horner's rule in integers:
+    the parts R_j = q^(d-j) P_j of q^d e(t/q), scaled as they are split,
+    are shifted to the integer p, for i < d, and j from d - 1 down to i,
+    R_j += p R_(j+1), and part m is R_m over q^(d-m).  So R_m is
+    sum_j C(j, m) p^(j-m) q^(d-j+m) P_j, with integer factors."""
     p, q, d = alpha.numerator, alpha.denominator, powers - 1
-    sides = [(s._den, s._graded) if isinstance(s, FormalSum) else (1, s) for s in sides]
-    common = lcm(*(den for den, _ in sides))
     parts = [{} for _ in range(powers)]
-    for sign, (den, side) in zip((1, -1), sides):
-        scale = [sign * common // den * q ** (d - deg) for deg in range(powers)]
+    for sign, side in zip((1, -1), sides):
+        scale = [sign * q ** (d - deg) for deg in range(powers)]
         for w, c in side.items():
             for deg, x in c.items():
                 parts[deg][w] = parts[deg].get(w, 0) + scale[deg] * x
@@ -242,7 +238,7 @@ def _taylor_parts(sides, alpha, powers):
         for j in range(d - 1, i - 1, -1):
             for w, c in parts[j + 1].items():
                 parts[j][w] = parts[j].get(w, 0) + p * c
-    dens = [common * q ** (d - m) for m in range(powers)]
+    dens = [q ** (d - m) for m in range(powers)]
     return [(den, {w: x for w, x in part.items() if x}) for den, part in zip(dens, parts)]
 
 
@@ -251,12 +247,14 @@ def taylor_shift(e, alpha):
 
     Returns the t-free formal sums a_0, ..., a_d, d the largest degree
     in t of a coefficient of e (just a_0 = 0 for e = 0), with
-    a_k = (d/dt)^k e |_{t=alpha} / k!: the parts of `_taylor_parts`.
+    a_k = (d/dt)^k e |_{t=alpha} / k!: the parts of `_taylor_parts` of
+    e's stored integers, over e's denominator.
     """
     alpha = _as_exact(alpha)
     e = as_sum(e)
     degree = max(map(max, e._graded.values()), default=0)
-    return [_t_free_sum(*part) for part in _taylor_parts([e], alpha, degree + 1)]
+    parts = _taylor_parts([e._graded], alpha, degree + 1)
+    return [_t_free_sum(den * e._den, vec) for den, vec in parts]
 
 
 def index_expansions(idx):

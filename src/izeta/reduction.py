@@ -14,12 +14,12 @@ coefficients), not an error, so callers can report exactly which
 component fell outside the span.
 
 `certify_relations` stays in integers from the identities to the
-solver: it takes each relation's sides in the graded form
+solver: it takes each relation's sides only in the graded form
 {word: {degree in t: int}} that `identities` states them in, and
 `interpolate._taylor_parts` subtracts them, splits the difference by
 degree and, at alpha = p/q != 0, shifts the parts by Horner's rule in
 integers, the loop `taylor_shift` runs too.  Part m is then an integer
-vector over a denominator, handed to the solver as it is; the certificate
+vector over a power of q, handed to the solver as it is; the certificate
 targets store the same integers, reduced, one formal sum per part, and
 `_integer_form` reads them back for the public solver calls and the
 verifier.
@@ -258,9 +258,11 @@ def certify_relations(suite, relations, alpha):
 
     `relations` yields (label, (lhs, rhs), number of powers, key) tuples,
     where relations with one key state one identity, and lhs and rhs are
-    graded or formal sums with integer coefficients.  The sides are read
-    only at a key's first relation, so the later ones may carry None, as
-    in `cyclic_relations`.  The Taylor
+    graded, {word: {degree in t: int}}.  The sides are read only at a
+    key's first relation, so the later ones may carry None, as in
+    `cyclic_relations`.  `relations` is read to the end before the solver
+    is built, so whatever a caller does as it yields them, such as the
+    CLI's numeric checks, comes before any solve.  The Taylor
     coefficients of lhs - rhs, padded with zeros to the number of powers,
     are taken in integers and solved once per key, and only they are kept,
     never the sides.  There is one certificate per relation and power,

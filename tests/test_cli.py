@@ -176,9 +176,11 @@ def test_malformed_t_exits_two_before_any_certificate(capsys, monkeypatch, suite
 @pytest.mark.parametrize("suite", ["sum-formula", "cyclic"])
 def test_bad_M_exits_two_before_any_certificate(capsys, monkeypatch, suite):
     def certify(*args):
-        raise AssertionError("a certificate was built")
+        raise AssertionError("a solver or certificate was built")
 
-    monkeypatch.setattr(cli, "certify_relations", certify)
+    # the numeric checks ride the relation stream that the certifier reads
+    for name in ("SpanSolver", "RelationCertificate"):
+        monkeypatch.setattr(reduction, name, certify)
     # M = 3 is below the depth of the deeper weight-9 words only
     for m in ("0", "3"):
         argv = ["verify", suite, "--k", "9", "--numeric", "--M", m]
@@ -334,6 +336,24 @@ def test_numeric_values_are_pinned_byte_for_byte(capsys, argv):
     assert hashlib.sha256(out).hexdigest() == NUMERIC_PINS[argv]
 
 
+# recorded before the numeric checks rode the relation stream; kept out of
+# the dicts above so that the IDs of their sorted cases stay as they are
+STREAMED_NUMERIC_PINS = {
+    # the words of one rotation class repeat their class's report
+    ("verify", "cyclic", "--k", "10", "--numeric"):
+        "34a280a403021d0fc18fe3f5fd12a00fe2d96ffe89e3f115aa7024d51fbad10d",
+    ("verify", "cyclic", "--k", "6", "--numeric", "--json"):
+        "7b810bf9e0d72b11bccae675f486c5bb057eae3bb6be75ff3e42a0885b526ff7",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(STREAMED_NUMERIC_PINS))
+def test_streamed_numeric_output_is_pinned_byte_for_byte(capsys, argv):
+    assert cli.run(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == STREAMED_NUMERIC_PINS[argv]
+
+
 @pytest.mark.parametrize("argv", [
     ["expand", "--index", "3,1,2"],
     ["st", "--word", "2,1,3"],
@@ -397,6 +417,30 @@ def test_numeric_builds_each_relation_once(capsys, monkeypatch, suite, k, relati
     # words at k = 5), is built once and evaluated once
     identities = {_identity(label) for label in numeric}
     assert len(calls) == len(evaluated) == len(identities) == 6
+
+
+@pytest.mark.parametrize("suite, k", [("sum-formula", "7"), ("cyclic", "5")])
+def test_numeric_checks_each_identity_as_the_certifier_reads_it(
+    capsys, monkeypatch, suite, k
+):
+    # each identity's sides are built, evaluated and shifted in turn, so
+    # no key's sides wait for the others'
+    calls = []
+    spies = [
+        (reduction, "_sum_formula_graded", "build"),
+        (reduction, "_cyclic_graded", "build"),
+        (cli, "verify_identity", "evaluate"),
+        (reduction, "_taylor_parts", "shift"),
+    ]
+    for owner, name, step in spies:
+        call = getattr(owner, name)
+        monkeypatch.setattr(
+            owner, name, lambda *args, step=step, call=call: calls.append(step) or call(*args)
+        )
+    code, _, _ = run_lines(capsys, ["verify", suite, "--k", k, "--numeric"])
+    assert code == 0
+    # six depths, or six rotation classes of the 15 cyclic words at k = 5
+    assert calls == ["build", "evaluate", "shift"] * 6
 
 
 _CLI_UNDER_SIGNALS = """
@@ -561,6 +605,20 @@ def test_a_t_within_the_digit_limit_still_parses(capsys, t):
         code, out, err = run_lines(capsys, ["eval", "--index", "2", "--M", "3"] + argv)
         assert code == 0 and not err
         assert out[0].startswith(f"zeta^t(2) at t={Fraction(t)}, M=3: ")
+
+
+@pytest.mark.parametrize("argv", [
+    # about 1,000 words; 400 letters still print
+    ["product", "--mode", "harmonic", "--left", ",".join(["2"] + ["1"] * 499), "--right", "1"],
+    ["verify", "sum-formula", "--k", "1100"],
+    ["verify", "cyclic", "--k", "1100"],
+], ids=["product-500-letters", "sum-formula-1100", "cyclic-1100"])
+def test_recursion_past_the_limit_exits_two_without_a_traceback(capsys, argv):
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: maximum recursion depth")
 
 
 def test_alt_sum_refuses_an_empty_word(capsys):

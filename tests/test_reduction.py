@@ -441,6 +441,26 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
     assert all(verify_certificates(certs)) and calls["_integer_form"] > 0
 
 
+def test_certify_relations_reads_every_relation_before_it_solves(monkeypatch):
+    # callers may work as the relations stream past (the CLI's numeric
+    # checks) and rely on that work preceding any solve
+    read = []
+
+    def relations():
+        for relation in reduction.sum_formula_relations(6):
+            read.append(relation[0])
+            yield relation
+        read.append("end")
+
+    def solver(*args):
+        assert read[-1] == "end" and len(read) == 6
+        return SpanSolver(*args)
+
+    monkeypatch.setattr(reduction, "SpanSolver", solver)
+    certs = reduction.certify_relations("sum-formula", relations(), 0)
+    assert len(certs) == 15 and all(verify_certificates(certs))
+
+
 def _is_graded(side, powers):
     """Whether a side is {word: {degree below powers: nonzero int}}."""
     return type(side) is dict and all(
