@@ -13,12 +13,14 @@ A formal sum stores one exact form: a positive denominator and, for each
 word, its coefficient times that denominator as {degree in t: int}.  The
 products, `substitute_t` and the operator in `interpolate` read and write
 those integers: a product adds the memoised word products up over the
-product of the two denominators, and a substitution evaluates each
-integer polynomial once per dict over one common denominator.  Results
-are reduced (`_reduced`, `_t_free_sum`), so that equal sums store equal
-data and == and hash are dict operations.  :class:`RatPoly`, the
-public coefficient type, is built only when a sum is read: `terms`,
-`items()`, `coefficient()` and `str`.
+product of the two denominators, and a substitution at alpha = p/q
+evaluates each distinct stored dict once (`_at_each`), keyed by id, from
+one table of the products p^i q^(top-i), over one common denominator.
+Results are reduced (`_reduced`, `_t_free_sum`), so that equal sums
+store equal data and == and hash are dict operations.
+:class:`RatPoly`, the public coefficient type, is built only when a
+sum's coefficients are read: `terms`, `items()` and `coefficient()`;
+`str` renders the stored integers, one text per distinct dict.
 
 Everything is exact: coefficients are ints or :class:`fractions.Fraction`,
 never floats.  Values are immutable once constructed: a stored dict may
@@ -161,26 +163,33 @@ class RatPoly:
         return out
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        out = ""
-        for i, e in enumerate(sorted(self.coeffs)):
-            c = self.coeffs[e]
-            neg = c < 0
-            mag = -c if neg else c
-            if e == 0:
-                body = str(mag)
-            else:
-                var = "t" if e == 1 else f"t^{e}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            if i == 0:
-                out = ("-" if neg else "") + body
-            else:
-                out += (" - " if neg else " + ") + body
-        return out
+        return _poly_text(self.coeffs)
 
     def __repr__(self):
         return f"RatPoly('{self}')"
+
+
+def _poly_text(coeffs, den=1):
+    """The text of the polynomial {degree: coefficient} over den, as
+    `str(RatPoly)` prints it: terms by rising degree, and a Fraction
+    built only for a coefficient over den > 1."""
+    if not coeffs:
+        return "0"
+    out = ""
+    for i, e in enumerate(sorted(coeffs)):
+        c = coeffs[e] if den == 1 else Fraction(coeffs[e], den)
+        neg = c < 0
+        mag = -c if neg else c
+        if e == 0:
+            body = str(mag)
+        else:
+            var = "t" if e == 1 else f"t^{e}"
+            body = var if mag == 1 else f"{mag}*{var}"
+        if i == 0:
+            out = ("-" if neg else "") + body
+        else:
+            out += (" - " if neg else " + ") + body
+    return out
 
 
 def _poly(coeffs):
@@ -390,10 +399,10 @@ class FormalSum:
         return FormalSum({w: f(p) for w, p in self.terms.items()})
 
     def __str__(self):
-        terms = _view(self._den, self._graded)  # not kept: printing is often all
-        text = {id(p): p for p in terms.values()}  # each shared RatPoly once
-        text = {i: str(p) for i, p in text.items()}
-        return " + ".join(f"({text[id(p)]})*[{w}]" for w, p in sorted(terms.items())) or "0"
+        # from the stored integers, one text per distinct dict: no RatPoly
+        text = {id(c): c for c in self._graded.values()}
+        text = {i: _poly_text(c, self._den) for i, c in text.items()}
+        return " + ".join(f"({text[id(c)]})*[{w}]" for w, c in sorted(self._graded.items())) or "0"
 
     def __repr__(self):
         return f"FormalSum('{self}')"
@@ -503,25 +512,41 @@ def word_linear(f, e):
     )
 
 
-def _at_alpha(alpha, den, top):
-    """Integer polynomials at t = alpha = p/q, over one denominator:
-    returns (den q^top, at), where at(c, s) is the integer
-    q^top c(alpha) alpha^s = sum_j c_j p^(j+s) q^(top-j-s) for a dict c
-    whose degree plus s is at most top."""
-    ps = [alpha.numerator**i for i in range(top + 1)]
-    qs = [alpha.denominator**i for i in range(top + 1)]
+def _at_alpha(alpha, e, n=1):
+    """The coefficients of e at t = alpha = p/q, as integers over one
+    denominator: returns (den, at), den being e's denominator times q^top
+    and top the largest degree in e plus n - 1, where at(c, m) lists the
+    integers q^top c(alpha) alpha^s, s < m <= n, for a stored dict c of
+    e.  One power table, p^i q^(top-i) for i <= top, serves every dict:
+    a term c_j t^j scales its entries j, ..., j + m - 1, so a one-term
+    dict costs one multiplication per value."""
+    p, q = alpha.numerator, alpha.denominator
+    top = max(map(max, e._graded.values()), default=0) + n - 1
+    table = [p**i * q ** (top - i) for i in range(top + 1)]
 
-    def at(c, s=0):
-        return sum(x * ps[j + s] * qs[top - j - s] for j, x in c.items())
+    def at(c, m=1):
+        if len(c) == 1:
+            [(j, x)] = c.items()
+            return [x * y for y in table[j : j + m]]
+        return [sum([x * table[j + s] for j, x in c.items()]) for s in range(m)]
 
-    return den * qs[top], at
+    return e._den * q**top, at
+
+
+def _at_each(alpha, e):
+    """(den, {id of a stored dict of e: its integer at t = alpha}) over
+    the denominator den of `_at_alpha`.  Each distinct dict is evaluated
+    once, keyed by id: stored dicts are shared, never changed, and kept
+    alive by e."""
+    den, at = _at_alpha(alpha, e)
+    return den, {i: at(c)[0] for i, c in {id(c): c for c in e._graded.values()}.items()}
 
 
 def substitute_t(e, alpha):
     """Evaluate every coefficient of e at t = alpha (exact rational)."""
     e = as_sum(e)
-    den, at = _at_alpha(_as_exact(alpha), e._den, max(map(max, e._graded.values()), default=0))
-    return _t_free_sum(den, {w: at(c) for w, c in e._graded.items()})
+    den, values = _at_each(_as_exact(alpha), e)
+    return _t_free_sum(den, {w: values[id(c)] for w, c in e._graded.items()})
 
 
 def circle(a, b):

@@ -24,8 +24,11 @@ param^sigma, each power computed once per call.
 The recursion's graded form {word: {degree: int}} is the form a formal
 sum stores, over its denominator, and what the identities are stated in
 and the reduction certificates read: `s_t` runs the recursion on a sum's
-stored integers and keeps its denominator, and `s_alpha` evaluates each
-stored dict at alpha once per word length (`algebra._at_alpha`).
+stored integers and keeps its denominator.  The image of a one-word sum
+stores one shifted dict per sigma, shared by the words with that sigma,
+so its 2^(n-1) words hold n dicts.  `s_alpha` evaluates each distinct
+(stored dict, word length n) once, at alpha^sigma for sigma < n, from
+one power table (`algebra._at_alpha`).
 `_taylor_parts` takes the (t - alpha)^m parts of one graded side, or
 of the difference of two, split by degree and re-expanded about
 alpha = p/q by Horner's rule in integers, each part left as integers
@@ -52,6 +55,7 @@ from .algebra import (
     Word,
     _as_exact,
     _at_alpha,
+    _normal_sum,
     _reduced,
     _t_free_sum,
     _word,
@@ -169,8 +173,13 @@ def s_t(e):
     """The interpolation operator itself (parameter t): each contraction
     with sigma merges shifts the degrees of its coefficient by sigma.
     The whole sum runs through one first-letter recursion on its stored
-    integers, over its denominator."""
+    integers, over its denominator.  A one-word sum reads the word's memo
+    instead, and its words with one sigma share one shifted dict."""
     e = as_sum(e)
+    if len(e._graded) == 1:
+        [(w, c)] = e._graded.items()
+        shifted = [{deg + sigma: x for deg, x in c.items()} for sigma in range(len(w) or 1)]
+        return _normal_sum({v: shifted[len(w) - len(v)] for v in _s_t_word(w)}, e._den)
     return _reduced(e._den, _s_t_graded(e._graded.items()))
 
 
@@ -182,17 +191,17 @@ def s_alpha(e, alpha):
     words survive.
 
     The contributions are integers over one common denominator, so each
-    contraction costs one integer addition, and each distinct value of
-    the result one stored dict."""
+    contraction costs one integer addition, each distinct (stored dict,
+    word length) one evaluation, and each distinct value of the result
+    one stored dict."""
     alpha = _as_exact(alpha)
     e = as_sum(e)
-    top = max((max(c) + (len(w) or 1) for w, c in e._graded.items()), default=1) - 1
-    den, at = _at_alpha(alpha, e._den, top)
+    den, at = _at_alpha(alpha, e, max(map(len, e._graded), default=0) or 1)
     out, values = {}, {}  # (id of a stored dict, n) -> its values for sigma < n
     for w, c in e._graded.items():
         n = len(w)
         if (v := values.get((id(c), n))) is None:
-            v = values[id(c), n] = [at(c, sigma) for sigma in range(n or 1)]
+            v = values[id(c), n] = at(c, n or 1)
         if not v[0]:  # c(alpha) = 0
             continue
         for u in _s_t_word(w):

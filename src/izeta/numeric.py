@@ -55,7 +55,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import Index, _as_exact, _at_alpha, as_sum
+from .algebra import Index, _as_exact, _at_each, as_sum
 from .interpolate import _s_t_word
 
 METHOD = "convolution"
@@ -199,7 +199,8 @@ def _strict(parts, M):
 def _result(den, coeffs, M, meta):
     """Sum c * zeta(w) / den over {Word: int c} exactly, round to a float
     once, and bound the error: the per-term bounds, the rounding (rounded
-    up), and the 8*eps*|value| floor."""
+    up), and the 8*eps*|value| floor.  Raises ValueError when the value
+    or its bound is beyond float range."""
     value = bound = 0
     for w, c in coeffs.items():
         v, b = _strict(w, M)
@@ -207,9 +208,12 @@ def _result(den, coeffs, M, meta):
         bound += abs(c) * b
     den *= _ONE * _ONE
     value = Fraction(value, den)
-    x = float(value)
-    err = Fraction(bound, den) + abs(Fraction(x) - value)
-    e = float(err)
+    try:
+        x = float(value)
+        err = Fraction(bound, den) + abs(Fraction(x) - value)
+        e = float(err)
+    except OverflowError:
+        raise ValueError("value or error bound beyond float range") from None
     if e < err:
         e = math.nextafter(e, math.inf)
     return NumResult(x, max(e, 8.0 * _EPS * abs(x)), M, meta)
@@ -256,14 +260,16 @@ def eval_element(e, alpha, M):
     coefficient * zeta(word) over the terms.
 
     The coefficients at alpha are integers over one common denominator,
-    so the sum is exact until the one final rounding, and the error bound
-    is the weighted sum of the per-term bounds plus that rounding."""
+    each distinct stored dict evaluated once, so the sum is exact until
+    the one final rounding, and the error bound is the weighted sum of
+    the per-term bounds plus that rounding.  Raises ValueError when the
+    value or its bound is beyond float range."""
     e = as_sum(e)
     _check_truncation(M, 0)  # also for a sum with no term at alpha
-    den, at = _at_alpha(_as_exact(alpha), e._den, max(map(max, e._graded.values()), default=0))
+    den, values = _at_each(_as_exact(alpha), e)
     coeffs = {}
     for w, c in e._graded.items():
-        if not (c := at(c)):  # the coefficient vanishes at alpha
+        if not (c := values[id(c)]):  # the coefficient vanishes at alpha
             continue
         if w and w[0] < 2:
             raise ValueError(f"divergent term: word [{w}]")

@@ -621,6 +621,18 @@ def test_recursion_past_the_limit_exits_two_without_a_traceback(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: maximum recursion depth")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--index", "2,1", "--t", "1e400"],
+    ["verify", "sum-formula", "--k", "4", "--numeric", "--t", "1e400"],
+], ids=["eval", "verify-numeric"])
+def test_a_value_beyond_float_range_exits_two_without_a_traceback(capsys, argv):
+    # zeta^t(2,1) = zeta(2,1) + t zeta(3) is about 1.2e400 at t = 1e400
+    code = cli.run(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err.splitlines() == ["error: value or error bound beyond float range"]
+
+
 def test_alt_sum_refuses_an_empty_word(capsys):
     code, out, err = run_lines(capsys, ["verify", "alt-sum", "--word", ""])
     assert code == 2 and not out

@@ -12,13 +12,18 @@ from izeta.algebra import (
     RatPoly,
     T,
     Word,
+    _normal_sum,
+    _t_free_sum,
     harmonic_product,
+    star_product,
     substitute_t,
     t_harmonic_product,
 )
+from izeta.identities import _sum_formula_graded
 from izeta.interpolate import (
     _s_t_graded,
     _s_t_word,
+    _taylor_parts,
     d_dt,
     enumerate_contractions,
     index_expansions,
@@ -30,7 +35,7 @@ from izeta.interpolate import (
     zeta_t_words,
 )
 from izeta.interpolate import Contraction
-from izeta.numeric import mzsv
+from izeta.numeric import eval_element, mzsv
 
 from helpers import (
     assert_normal_form,
@@ -248,11 +253,13 @@ def brute_contractions(letters):
 
 def brute_s_alpha(terms, alpha):
     """Sum of c(alpha) alpha^sigma over every contraction of every term of
-    {letter tuple: {t exponent: coefficient}}; {letter tuple: Fraction}."""
+    {letter tuple: {t exponent: coefficient}}, the unit mapping to itself;
+    {letter tuple: Fraction}."""
     out = {}
     for letters, poly in terms.items():
         value = sum(Fraction(c) * Fraction(alpha) ** e for e, c in poly.items())
-        for word, merges in brute_contractions(letters).items():
+        image = brute_contractions(letters) if letters else {(): {0: 1}}
+        for word, merges in image.items():
             for sigma, mult in merges.items():
                 out[word] = out.get(word, 0) + mult * value * Fraction(alpha) ** sigma
     return {word: c for word, c in out.items() if c}
@@ -598,3 +605,75 @@ def test_contractions_refuse_bad_marks_and_the_unit(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+# ------------------------------------------------- shared coefficient dicts
+
+SHARED_ALPHAS = [0, 1, -1, Fraction(355, 113), Fraction(-2, 7), Fraction(10**20, 3)]
+
+# (1/6 - t^2/2) on words of lengths 0 to 3, one stored dict for all four,
+# so that s_alpha needs that dict's values at four lengths, a short word
+# coming first
+ACROSS_LENGTHS = {w: {0: Fraction(1, 6), 2: Fraction(-1, 2)} for w in [(4,), (2, 1, 1), (), (3, 1)]}
+# S^t of (1/2 + 3t)[2,1,1,2], which stores one dict per sigma
+ONE_WORD = ((2, 1, 1, 2), {0: Fraction(1, 2), 1: 3})
+# a t-free sum over 10 whose words share one dict per value
+T_FREE = {(2, 1): 4, (3,): 4, (2, 1, 1): -6, (4,): -6, (): 4, (2, 2): 5}
+
+
+def shared_sums():
+    """{name: (sum, distinct stored dicts, its terms as {letter tuple:
+    {t exponent: coefficient}})}; the terms are written out, or come from
+    brute-force contractions, not from the sums."""
+    letters, poly = ONE_WORD
+    one_word = s_t(FormalSum.from_word(Word(letters), RatPoly(poly)))
+    c = {0: 1, 2: -3}  # over 6
+    return {
+        "across-lengths": (_normal_sum({Word(u): c for u in ACROSS_LENGTHS}, 6), 1, ACROSS_LENGTHS),
+        "s_t-of-one-word": (one_word, len(letters), brute_s_t({letters: poly})),
+        "t-free": (_t_free_sum(10, T_FREE), 3, {u: {0: Fraction(x, 10)} for u, x in T_FREE.items()}),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(shared_sums()))
+@pytest.mark.parametrize("alpha", SHARED_ALPHAS, ids=str)
+def test_sums_with_shared_dicts_match_brute_force(name, alpha):
+    e, distinct, terms = shared_sums()[name]
+    assert len({id(c) for c in e._graded.values()}) == distinct < len(e)
+    for got, expected in (
+        (s_alpha(e, alpha), brute_s_alpha(terms, alpha)),
+        (substitute_t(e, alpha), brute_substitute(terms, alpha)),
+    ):
+        assert_normal_form(got)
+        assert as_constants(got) == expected
+    # the same rational sum of strict values, so the same rounding and
+    # bound, to the bit, as the t-free sum of the brute-force coefficients
+    t_free = dictpoly_to_sum({u: {0: c} for u, c in brute_substitute(terms, alpha).items()})
+    got, expected = eval_element(e, alpha, 300), eval_element(t_free, 0, 300)
+    assert (got.value.hex(), got.err.hex()) == (expected.value.hex(), expected.err.hex())
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_s_t_of_one_word_stores_one_dict_per_sigma_that_nothing_changes(n):
+    letters = (2,) + (1,) * (n - 1)
+    e = s_t(RatPoly({0: Fraction(1, 2), 1: -3}) * w(*letters))
+    ids = {}  # sigma -> ids of the dicts of the words with that sigma
+    for u, c in e._graded.items():
+        ids.setdefault(n - len(u), set()).add(id(c))
+    assert len(e) == 2 ** (n - 1) and sorted(ids) == list(range(n))
+    assert all(len(group) == 1 for group in ids.values())
+    dicts = {id(c): c for c in e._graded.values()}
+    snapshot = {i: dict(c) for i, c in dicts.items()}
+    other = s_t(w(3, 1) + w(2, 1, 1)) + T * w(*letters)
+    for f in (e, other):
+        e - f, f - e
+        for product in (harmonic_product, star_product, t_harmonic_product):
+            product(e, f), product(f, e)
+    s_t(e), s_t(e + other)
+    for alpha in (0, -1, Fraction(355, 113)):
+        s_alpha(e, alpha), substitute_t(e, alpha), taylor_shift(e, alpha)
+    # the sum formula's depth-n side is S^t of the same word
+    sides = _sum_formula_graded(n + 1, n)
+    _taylor_parts(sides, Fraction(-2, 7), 1 + max(max(c) for side in sides for c in side.values()))
+    assert {i: dict(c) for i, c in dicts.items()} == snapshot
+    assert all(dicts[id(c)] is c for c in e._graded.values())

@@ -266,3 +266,14 @@ def test_threads_sharing_the_tail_memo_from_a_cold_start_get_the_values_of_one_t
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 8
+
+
+def test_a_value_beyond_float_range_is_refused():
+    # zeta^t(2,1) = zeta(2,1) + t zeta(3) is beyond float range at these t
+    e = s_t(FormalSum.from_word(Word((2, 1))))
+    for t in (Fraction(10) ** 400, -Fraction(10) ** 309, Fraction(10**700, 3)):
+        with pytest.raises(ValueError, match="^value or error bound beyond float range$"):
+            eval_element(e, t, 300)
+    # and still a float at 1e307
+    got = eval_element(e, Fraction(10) ** 307, 300)
+    assert 1.1e307 < got.value < 1.3e307 and math.isfinite(got.err)
