@@ -7,11 +7,13 @@ as (den, {Word: int}), the form it stores (`_integer_form`).
 on such vectors: rows stay integer, and where a pivot does not divide
 the entry it clears, the vector being reduced is first scaled by the
 least integer that makes it divide.  Each coefficient becomes a Fraction
-once, at the end.  `verify_certificates` re-checks each certificate in
-the same integers, word by word, from its own target, generators and
-coefficients.  A failed membership is a value (certificate with no
-coefficients), not an error, so callers can report exactly which
-component fell outside the span.
+once, at the end, and only the nonzero ones are returned, as
+{generator index: Fraction}; `coefficients_for` spreads them into the
+public list, one entry per generator.  `verify_certificates` re-checks
+each certificate in the same integers, word by word, from its target,
+generators and nonzero coefficients.  A failed membership is a value
+(certificate with no coefficients), not an error, so callers can report
+exactly which component fell outside the span.
 
 `certify_relations` stays in integers from the identities to the
 solver: it takes each relation's sides only in the graded form
@@ -19,10 +21,12 @@ solver: it takes each relation's sides only in the graded form
 `interpolate._taylor_parts` subtracts them, splits the difference by
 degree and, at alpha = p/q != 0, shifts the parts by Horner's rule in
 integers, the loop `taylor_shift` runs too.  Part m is then an integer
-vector over a power of q, handed to the solver as it is; the certificate
-targets store the same integers, reduced, one formal sum per part, and
-`_integer_form` reads them back for the public solver calls and the
-verifier.
+vector over a power of q, handed to the solver as it is.  Each part is
+kept as those integers with the solver's nonzero coefficients, and the
+verifier reads them as they are: of the formal sums, only the
+generators (part 0 of each key) are built to certify and verify.  A
+certificate's public target (a formal sum) and coefficient list are
+built from its part on first read, as the JSON records do.
 
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
@@ -31,9 +35,10 @@ builders yield graded sides only, each built once, at its key's first
 relation, and not kept: the later relations of a key carry None, since
 every consumer reads sides only at a new key.  Relations with one
 key are shifted and solved once: their certificates keep their own
-labels but share the target and coefficient-list objects, and every
-certificate of one call shares one generator list.  The verifier and the
-JSON records do each shared object's work once.
+labels but share one part per power, and so one target and one
+coefficient-list object each, and every certificate of one call shares
+one generator list.  The verifier and the JSON records do each shared
+object's work once.
 """
 
 from fractions import Fraction
@@ -56,28 +61,91 @@ def _integer_form(e):
 _ZERO = Fraction(0)
 
 
+def _dense(nonzero, size):
+    """The coefficient list, one Fraction per generator, of the nonzero
+    coefficients {generator index: Fraction}."""
+    coeffs = [_ZERO] * size
+    for i, c in nonzero.items():
+        coeffs[i] = c
+    return coeffs
+
+
+class _Part:
+    """One solved Taylor part, shared by the certificates of one relation
+    key and power: the solver's nonzero coefficients {generator index:
+    Fraction}, or None outside the span, the number of generators, and
+    the part itself, as the integers (den, {Word: int}) it was solved
+    from or as its t-free formal sum.  The sum is built from the integers
+    on first read, and then stores them, reduced, in their place; the
+    coefficient list is built from the nonzeros on first read.  Both are
+    kept."""
+
+    __slots__ = ("den", "vec", "nonzero", "size", "_target", "_coefficients")
+
+    def __init__(self, nonzero, size, den=None, vec=None, target=None):
+        self.nonzero, self.size = nonzero, size
+        self.den, self.vec, self._target = den, vec, target
+        self._coefficients = None
+
+    def target(self):
+        if self._target is None:
+            self._target = _t_free_sum(self.den, self.vec)
+            self.den = self.vec = None
+        return self._target
+
+    def coefficients(self):
+        if self._coefficients is None and self.nonzero is not None:
+            self._coefficients = _dense(self.nonzero, self.size)
+        return self._coefficients
+
+
 class RelationCertificate:
     """Outcome of one span-membership question.
 
     `coefficients` lists one Fraction per generator when the target lies
     in the span; it is None on failure.  `verify` re-substitutes exactly.
+    A certificate from `certify_relations` reads its target and
+    coefficients off a part it shares with the other certificates of its
+    relation key and power, built there on first read.  A field assigned
+    is the certificate's own, and `verify_certificates` then reads both
+    fields, as for a hand-built certificate.
     """
+
+    _part = None  # a shared solved part, or None for a hand-built one
 
     def __init__(self, target, generators, coefficients, label=""):
         self.target, self.generators = target, generators
         self.coefficients, self.label = coefficients, label
 
+    @classmethod
+    def _solved(cls, part, generators, label):
+        cert = cls.__new__(cls)
+        cert._part, cert.generators, cert.label = part, generators, label
+        return cert
+
+    def __getattr__(self, name):
+        # reached only for a field this certificate has not assigned
+        if self._part is None or name not in ("target", "coefficients"):
+            raise AttributeError(name)
+        return getattr(self._part, name)()
+
+    def _fields(self):
+        return self.target, self.generators, self.coefficients, self.label
+
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return vars(self) == vars(other)
+        return self._fields() == other._fields()
 
     def __repr__(self):
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        names = ("target", "generators", "coefficients", "label")
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields()))
         return f"{type(self).__name__}({fields})"
 
     @property
     def success(self):
+        if self._part is not None and "coefficients" not in vars(self):
+            return self._part.nonzero is not None  # no list built
         return self.coefficients is not None
 
     def verify(self):
@@ -157,43 +225,47 @@ class SpanSolver:
 
     def coefficients_for(self, target):
         """Coefficients over the generators, or None if outside the span."""
-        return self._coefficients(*_integer_form(target))
+        nonzero = self._coefficients(*_integer_form(target))
+        return None if nonzero is None else _dense(nonzero, len(self.generators))
 
     def _coefficients(self, den, vec):
-        """`coefficients_for` the target vec / den, given in integers; the
-        dict vec is used up."""
+        """The nonzero coefficients {generator index: Fraction} of the
+        target vec / den, given in integers, or None if it lies outside
+        the span; the dict vec is used up."""
         # the key None stands for the target: vec = den * target to start
         vec, combo = self._reduce(vec, {None: den})
         if vec:
             return None
         scale = combo.pop(None)
-        coeffs = [_ZERO] * len(self.generators)
-        for i, c in combo.items():
-            coeffs[i] = Fraction(-c, scale)
-        return coeffs
+        return {i: Fraction(-c, scale) for i, c in combo.items()}
 
 
 def certificate_records(certs):
     """The machine-readable dict of each certificate (label, target,
     generators, coefficients as p/q strings or "FAILURE", success),
-    rendering a generator list or a coefficient list once however many
-    certificates share it (as all certificates from one
+    rendering a target, generator list or coefficient list once however
+    many certificates share it (as all certificates from one
     `certify_relations` call share their generators, and those of one
-    relation key their coefficients)."""
+    relation key and power their target and coefficients)."""
+    texts = {}  # id of a target -> its text
     rendered = {}  # id of a generator or coefficient list -> its strings
     records = []
-    # iterating a list keeps every certificate alive, so no id is reused
+    # iterating a list keeps every certificate, and so every field, alive,
+    # so no id is reused
     for cert in list(certs):
-        gens, coeffs = cert.generators, cert.coefficients
+        target, gens, coeffs = cert.target, cert.generators, cert.coefficients
+        if id(target) not in texts:
+            texts[id(target)] = str(target)
         if id(gens) not in rendered:
             rendered[id(gens)] = [str(g) for g in gens]
         if id(coeffs) not in rendered:
-            rendered[id(coeffs)] = (
-                "FAILURE" if coeffs is None else [str(Fraction(c)) for c in coeffs]
-            )
+            # `is` renders the solver's zeros without a call
+            rendered[id(coeffs)] = "FAILURE" if coeffs is None else [
+                "0" if c is _ZERO else str(Fraction(c)) for c in coeffs
+            ]
         records.append({
             "label": cert.label,
-            "target": str(cert.target),
+            "target": texts[id(target)],
             "generators": rendered[id(gens)],
             "coefficients": rendered[id(coeffs)],
             "success": cert.success,
@@ -206,37 +278,65 @@ def verify_certificates(certs):
     integers: target - sum c_i g_i == 0 times L, the lcm of the
     denominators of the target and of each c_i g_i, word by word.
 
-    A failed certificate, or a coefficient list of the wrong length,
-    fails; an inexact coefficient, zero or not, raises TypeError, and a
-    target or used generator that carries t raises ValueError.  Each
-    generator is converted to integers once however many certificates
-    share it (as all certificates from one `certify_relations` call share
-    their generator list), and each distinct (target, generators,
-    coefficients) triple of objects is verified once."""
-    forms = {}  # id(generator) -> integer form
-    verdicts = {}  # ids of (target, generators, coefficients) -> verdict
+    A certificate from `certify_relations` is read off its shared part:
+    the target's integers and the nonzero coefficients, as solved, with
+    no formal sum or coefficient list built.  Any other is read from its
+    fields: a failed certificate, or a coefficient list of the wrong
+    length, fails; an inexact coefficient, zero or not, raises TypeError,
+    and a target that carries t raises ValueError.  A used generator that
+    carries t raises ValueError too.  Each generator is converted to
+    integers once however many certificates share it (as all
+    certificates from one `certify_relations` call share their generator
+    list), and each distinct (part, generators) pair, or (target,
+    generators, coefficients) triple, of objects is verified once."""
+    forms = {}  # id of a generator or target -> integer form
+    verdicts = {}  # ids of the objects a certificate is read from -> verdict
     oks = []
-    # iterating a list keeps every object alive, so no id is reused
+    # iterating a list keeps every certificate, and so every object it is
+    # read from, alive, so no id is reused
     for cert in list(certs):
-        key = (id(cert.target), id(cert.generators), id(cert.coefficients))
+        part, gens = cert._part, cert.generators
+        if part is None or {"target", "coefficients"} & vars(cert).keys():
+            part = None  # read from the fields, as they may be assigned
+            key = (id(cert.target), id(gens), id(cert.coefficients))
+        else:
+            key = (id(part), id(gens))
         if key not in verdicts:
-            verdicts[key] = _holds(cert, forms)
+            verdicts[key] = _holds(cert, part, forms)
         oks.append(verdicts[key])
     return oks
 
 
-def _holds(cert, forms):
-    """Whether one certificate holds, as in `verify_certificates`, with
-    the integer forms of generators already converted in `forms`."""
-    if cert.coefficients is None or len(cert.coefficients) != len(cert.generators):
-        return False
-    used = [(-1, *_integer_form(cert.target))]  # the target, with coefficient -1
-    for c, g in zip(cert.coefficients, cert.generators):
+def _form(e, forms):
+    """`_integer_form` of e, converted once per object in `forms`."""
+    form = forms.get(id(e))
+    if form is None:
+        form = forms[id(e)] = _integer_form(e)
+    return form
+
+
+def _holds(cert, part, forms):
+    """Whether one certificate holds, as in `verify_certificates`, read
+    from its shared part, or from its fields if `part` is None, with the
+    integer forms of generators and targets already converted in
+    `forms`."""
+    gens = cert.generators
+    if part is None:
+        coeffs = cert.coefficients
+        if coeffs is None or len(coeffs) != len(gens):
+            return False
+        den, vec = _form(cert.target, forms)
         # `is` skips the solver's zeros without a call
-        if c is not _ZERO and _as_exact(c):
-            if id(g) not in forms:
-                forms[id(g)] = _integer_form(g)
-            used.append((c, *forms[id(g)]))
+        nonzero = {i: c for i, c in enumerate(coeffs) if c is not _ZERO and _as_exact(c)}
+    elif part.nonzero is None or part.size != len(gens):
+        return False
+    else:
+        # a part whose target was built keeps its integers in the sum
+        den, vec = (part.den, part.vec) if part.vec is not None else _form(part.target(), forms)
+        nonzero = part.nonzero
+    used = [(-1, den, vec)]  # the target, with coefficient -1
+    for i, c in nonzero.items():
+        used.append((c, *_form(gens[i], forms)))
     common = lcm(*(c.denominator * d for c, d, _ in used))
     acc = {}
     for c, d, vec in used:
@@ -265,11 +365,12 @@ def certify_relations(suite, relations, alpha):
     CLI's numeric checks, comes before any solve.  The Taylor
     coefficients of lhs - rhs, padded with zeros to the number of powers,
     are taken in integers and solved once per key, and only they are kept,
-    never the sides.  There is one certificate per relation and power,
-    with its own label; those of one key share their target and
-    coefficient-list objects.  The generators, one list that every
-    certificate shares, are each relation's coefficient of
-    (t - alpha)^0, in order."""
+    with the nonzero coefficients, never the sides.  There is one
+    certificate per relation and power, with its own label; those of one
+    key and power share one part, so their target and coefficient-list
+    objects, each built on first read, are shared.  The generators, one
+    list that every certificate shares, are each relation's coefficient
+    of (t - alpha)^0, in order."""
     alpha = _as_exact(alpha)
     parts_of = {}  # key -> padded integer Taylor coefficients
     labelled = []
@@ -280,17 +381,19 @@ def certify_relations(suite, relations, alpha):
     firsts = {key: _t_free_sum(*parts[0]) for key, parts in parts_of.items()}
     gens = [firsts[key] for _, key in labelled]
     solver = SpanSolver(gens, [parts_of[key][0] for _, key in labelled])
+    # the solver uses up a copy of each part's integers; the part keeps
+    # them, but its coefficient of (t - alpha)^0 is the key's generator
     solved = {}
     for key, parts in parts_of.items():
-        # the other parts become targets only now, and their integers go
-        # once solved
-        targets = [firsts[key], *(_t_free_sum(*part) for part in parts[1:])]
-        solved[key] = [(t, solver._coefficients(*part)) for t, part in zip(targets, parts)]
-        parts.clear()
+        nonzeros = [solver._coefficients(den, dict(vec)) for den, vec in parts]
+        solved[key] = [_Part(nonzeros[0], len(gens), target=firsts[key])] + [
+            _Part(nonzero, len(gens), den, vec)
+            for nonzero, (den, vec) in zip(nonzeros[1:], parts[1:])
+        ]
     return [
-        RelationCertificate(part, gens, coeffs, label=f"{label} power={power}")
+        RelationCertificate._solved(part, gens, f"{label} power={power}")
         for label, key in labelled
-        for power, (part, coeffs) in enumerate(solved[key])
+        for power, part in enumerate(solved[key])
     ]
 
 
