@@ -24,9 +24,13 @@ integers, the loop `taylor_shift` runs too.  Part m is then an integer
 vector over a power of q, handed to the solver as it is.  Each part is
 kept as those integers with the solver's nonzero coefficients, and the
 verifier reads them as they are: of the formal sums, only the
-generators (part 0 of each key) are built to certify and verify.  A
-certificate's public target (a formal sum) and coefficient list are
-built from its part on first read, as the JSON records do.
+generators (part 0 of each key) are built to certify and verify.
+Every certificate reads its target and coefficients off one part
+(`_Part`), whether solved or given to the constructor: a solved part's
+public target (a formal sum) and coefficient list are built on first
+read, as the JSON records do, and a given list is read as it is at each
+verify and record.  Assigning either field gives that one certificate a
+part of its own.
 
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
@@ -70,25 +74,35 @@ def _dense(nonzero, size):
     return coeffs
 
 
+def _nonzero(coeffs):
+    """The nonzero entries {index: c} of a coefficient list, every entry,
+    zero or not, checked exact: an inexact one raises TypeError."""
+    # `is` skips the solver's zeros without a call
+    return {i: c for i, c in enumerate(coeffs) if c is not _ZERO and _as_exact(c)}
+
+
 class _Part:
-    """One solved Taylor part, shared by the certificates of one relation
-    key and power: the solver's nonzero coefficients {generator index:
-    Fraction}, or None outside the span, the number of generators, and
-    the part itself, as the integers (den, {Word: int}) it was solved
-    from or as its t-free formal sum.  The sum is built from the integers
-    on first read, and then stores them, reduced, in their place; the
-    coefficient list is built from the nonzeros on first read.  Both are
-    kept."""
+    """A certificate's target and coefficients, each in one of two forms.
+    The target is the integers (den, {Word: int}) it was solved from, or
+    an object: a formal sum built from them, a generator, or the target
+    a certificate was given.  The coefficients are the solver's nonzero
+    ones {generator index: Fraction} with the number of generators, or
+    None outside the span; or the list (or None) a certificate was
+    given.  A solved part is shared by the certificates of one relation
+    key and power; its target sum and coefficient list are built on
+    first read and kept, and the built sum then stores the integers,
+    reduced, in their place.  A given list is never cached: it is read
+    anew at each verify and each record, so an edit made in place
+    shows."""
 
     __slots__ = ("den", "vec", "nonzero", "size", "_target", "_coefficients")
 
-    def __init__(self, nonzero, size, den=None, vec=None, target=None):
-        self.nonzero, self.size = nonzero, size
-        self.den, self.vec, self._target = den, vec, target
-        self._coefficients = None
+    def __init__(self, target, coefficients, nonzero=None, size=0, den=None, vec=None):
+        self._target, self._coefficients = target, coefficients
+        self.nonzero, self.size, self.den, self.vec = nonzero, size, den, vec
 
     def target(self):
-        if self._target is None:
+        if self.vec is not None:
             self._target = _t_free_sum(self.den, self.vec)
             self.den = self.vec = None
         return self._target
@@ -98,24 +112,37 @@ class _Part:
             self._coefficients = _dense(self.nonzero, self.size)
         return self._coefficients
 
+    def terms(self, size, forms):
+        """The target's integers (den, vec) and the nonzero coefficients,
+        as checked against `size` generators, or None when there are no
+        coefficients or not `size` of them.  A given list is read in this
+        order: its length, then the target (one that carries t raises
+        ValueError), then each entry (an inexact one, zero or not, raises
+        TypeError).  Target objects are converted once in `forms`."""
+        coeffs = self._coefficients
+        given = self.nonzero is None  # a given list, or solved outside the span
+        if (coeffs is None or len(coeffs) != size) if given else self.size != size:
+            return None
+        den, vec = (self.den, self.vec) if self.vec is not None else _form(self._target, forms)
+        return den, vec, _nonzero(coeffs) if given else self.nonzero
+
 
 class RelationCertificate:
     """Outcome of one span-membership question.
 
     `coefficients` lists one Fraction per generator when the target lies
     in the span; it is None on failure.  `verify` re-substitutes exactly.
-    A certificate from `certify_relations` reads its target and
-    coefficients off a part it shares with the other certificates of its
-    relation key and power, built there on first read.  A field assigned
-    is the certificate's own, and `verify_certificates` then reads both
-    fields, as for a hand-built certificate.
+    A certificate reads its target and coefficients off one part: its
+    own, holding what it was built with, or, from `certify_relations`,
+    the part it shares with the other certificates of its relation key
+    and power.  Assigning `target` or `coefficients` gives that one
+    certificate a new part of its own, with the value assigned and the
+    other field as its old part held it.
     """
 
-    _part = None  # a shared solved part, or None for a hand-built one
-
     def __init__(self, target, generators, coefficients, label=""):
-        self.target, self.generators = target, generators
-        self.coefficients, self.label = coefficients, label
+        self._part = _Part(target, coefficients)
+        self.generators, self.label = generators, label
 
     @classmethod
     def _solved(cls, part, generators, label):
@@ -123,11 +150,23 @@ class RelationCertificate:
         cert._part, cert.generators, cert.label = part, generators, label
         return cert
 
-    def __getattr__(self, name):
-        # reached only for a field this certificate has not assigned
-        if self._part is None or name not in ("target", "coefficients"):
-            raise AttributeError(name)
-        return getattr(self._part, name)()
+    @property
+    def target(self):
+        return self._part.target()
+
+    @target.setter
+    def target(self, target):
+        part = self._part
+        self._part = _Part(target, part._coefficients, part.nonzero, part.size)
+
+    @property
+    def coefficients(self):
+        return self._part.coefficients()
+
+    @coefficients.setter
+    def coefficients(self, coefficients):
+        part = self._part
+        self._part = _Part(part._target, coefficients, den=part.den, vec=part.vec)
 
     def _fields(self):
         return self.target, self.generators, self.coefficients, self.label
@@ -144,9 +183,8 @@ class RelationCertificate:
 
     @property
     def success(self):
-        if self._part is not None and "coefficients" not in vars(self):
-            return self._part.nonzero is not None  # no list built
-        return self.coefficients is not None
+        # a solved part answers without building its list
+        return self._part.nonzero is not None or self._part._coefficients is not None
 
     def verify(self):
         """Exact re-substitution in integers, as in `verify_certificates`."""
@@ -160,9 +198,7 @@ class RelationCertificate:
     def __str__(self):
         if not self.success:
             return f"FAILURE {self.label}: target outside span"
-        used = [
-            f"{Fraction(c)}*g{i}" for i, c in enumerate(self.coefficients) if c
-        ]
+        used = [f"{c}*g{i}" for i, c in _nonzero(self.coefficients).items()]
         body = " + ".join(used) if used else "0"
         return f"{self.label}: target = {body}"
 
@@ -243,31 +279,31 @@ class SpanSolver:
 def certificate_records(certs):
     """The machine-readable dict of each certificate (label, target,
     generators, coefficients as p/q strings or "FAILURE", success),
-    rendering a target, generator list or coefficient list once however
-    many certificates share it (as all certificates from one
+    rendering each part, and each generator list, once however many
+    certificates share it (as all certificates from one
     `certify_relations` call share their generators, and those of one
-    relation key and power their target and coefficients)."""
-    texts = {}  # id of a target -> its text
-    rendered = {}  # id of a generator or coefficient list -> its strings
+    relation key and power their part).  An inexact coefficient raises
+    TypeError, as in `verify_certificates`."""
+    rendered = {}  # id of a part or a generator list -> its text
     records = []
-    # iterating a list keeps every certificate, and so every field, alive,
-    # so no id is reused
+    # iterating a list keeps every certificate, and so every part and
+    # generator list, alive, so no id is reused
     for cert in list(certs):
-        target, gens, coeffs = cert.target, cert.generators, cert.coefficients
-        if id(target) not in texts:
-            texts[id(target)] = str(target)
+        part, gens = cert._part, cert.generators
+        if id(part) not in rendered:
+            coeffs = part.coefficients()
+            # `is` renders the solver's zeros without a call
+            rendered[id(part)] = str(part.target()), "FAILURE" if coeffs is None else [
+                "0" if c is _ZERO else str(_as_exact(c)) for c in coeffs
+            ]
         if id(gens) not in rendered:
             rendered[id(gens)] = [str(g) for g in gens]
-        if id(coeffs) not in rendered:
-            # `is` renders the solver's zeros without a call
-            rendered[id(coeffs)] = "FAILURE" if coeffs is None else [
-                "0" if c is _ZERO else str(Fraction(c)) for c in coeffs
-            ]
+        target, coefficients = rendered[id(part)]
         records.append({
             "label": cert.label,
-            "target": texts[id(target)],
+            "target": target,
             "generators": rendered[id(gens)],
-            "coefficients": rendered[id(coeffs)],
+            "coefficients": coefficients,
             "success": cert.success,
         })
     return records
@@ -278,31 +314,27 @@ def verify_certificates(certs):
     integers: target - sum c_i g_i == 0 times L, the lcm of the
     denominators of the target and of each c_i g_i, word by word.
 
-    A certificate from `certify_relations` is read off its shared part:
-    the target's integers and the nonzero coefficients, as solved, with
-    no formal sum or coefficient list built.  Any other is read from its
-    fields: a failed certificate, or a coefficient list of the wrong
-    length, fails; an inexact coefficient, zero or not, raises TypeError,
-    and a target that carries t raises ValueError.  A used generator that
-    carries t raises ValueError too.  Each generator is converted to
-    integers once however many certificates share it (as all
-    certificates from one `certify_relations` call share their generator
-    list), and each distinct (part, generators) pair, or (target,
-    generators, coefficients) triple, of objects is verified once."""
+    Each certificate is read off its part (`_Part.terms`): a solved part
+    gives the target's integers and the nonzero coefficients as solved,
+    with no formal sum or coefficient list built; a given list is read
+    as it is now.  A failed certificate, or a coefficient list of the
+    wrong length, fails; an inexact coefficient, zero or not, raises
+    TypeError, and a target that carries t raises ValueError.  A used
+    generator that carries t raises ValueError too.  Each generator is
+    converted to integers once however many certificates share it (as
+    all certificates from one `certify_relations` call share their
+    generator list), and each distinct (part, generator list) pair is
+    verified once."""
     forms = {}  # id of a generator or target -> integer form
-    verdicts = {}  # ids of the objects a certificate is read from -> verdict
+    verdicts = {}  # (id of a part, id of a generator list) -> verdict
     oks = []
     # iterating a list keeps every certificate, and so every object it is
     # read from, alive, so no id is reused
     for cert in list(certs):
         part, gens = cert._part, cert.generators
-        if part is None or {"target", "coefficients"} & vars(cert).keys():
-            part = None  # read from the fields, as they may be assigned
-            key = (id(cert.target), id(gens), id(cert.coefficients))
-        else:
-            key = (id(part), id(gens))
+        key = (id(part), id(gens))
         if key not in verdicts:
-            verdicts[key] = _holds(cert, part, forms)
+            verdicts[key] = _holds(part, gens, forms)
         oks.append(verdicts[key])
     return oks
 
@@ -315,25 +347,13 @@ def _form(e, forms):
     return form
 
 
-def _holds(cert, part, forms):
-    """Whether one certificate holds, as in `verify_certificates`, read
-    from its shared part, or from its fields if `part` is None, with the
-    integer forms of generators and targets already converted in
-    `forms`."""
-    gens = cert.generators
-    if part is None:
-        coeffs = cert.coefficients
-        if coeffs is None or len(coeffs) != len(gens):
-            return False
-        den, vec = _form(cert.target, forms)
-        # `is` skips the solver's zeros without a call
-        nonzero = {i: c for i, c in enumerate(coeffs) if c is not _ZERO and _as_exact(c)}
-    elif part.nonzero is None or part.size != len(gens):
+def _holds(part, gens, forms):
+    """Whether a certificate's part holds over its generators, as in
+    `verify_certificates`, with the integer forms of generators and
+    targets already converted in `forms`."""
+    if (terms := part.terms(len(gens), forms)) is None:
         return False
-    else:
-        # a part whose target was built keeps its integers in the sum
-        den, vec = (part.den, part.vec) if part.vec is not None else _form(part.target(), forms)
-        nonzero = part.nonzero
+    den, vec, nonzero = terms
     used = [(-1, den, vec)]  # the target, with coefficient -1
     for i, c in nonzero.items():
         used.append((c, *_form(gens[i], forms)))
@@ -386,8 +406,8 @@ def certify_relations(suite, relations, alpha):
     solved = {}
     for key, parts in parts_of.items():
         nonzeros = [solver._coefficients(den, dict(vec)) for den, vec in parts]
-        solved[key] = [_Part(nonzeros[0], len(gens), target=firsts[key])] + [
-            _Part(nonzero, len(gens), den, vec)
+        solved[key] = [_Part(firsts[key], None, nonzeros[0], len(gens))] + [
+            _Part(None, None, nonzero, len(gens), den, vec)
             for nonzero, (den, vec) in zip(nonzeros[1:], parts[1:])
         ]
     return [

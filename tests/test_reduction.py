@@ -438,7 +438,8 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
     calls.clear()
     assert len(verify_sf_reduction(11)) == 55
     assert calls == {"_taylor_parts": 10, "_coefficients": 55}
-    # the verifier still reads its integers off the formal sums
+    # the verifier reads the generators' integers off their formal sums
+    # (the targets as the integers they were solved from)
     assert all(verify_certificates(certs)) and calls["_integer_form"] > 0
 
 
@@ -503,6 +504,44 @@ def test_verify_refuses_every_inexact_coefficient(inexact):
     with pytest.raises(TypeError) as info:
         RelationCertificate(2 * g, [g, w(4)], [2, inexact]).verify()
     assert str(info.value) == "exact rational coefficient required, got float"
+
+
+@pytest.mark.parametrize("inexact", [0.1, True, 0.0], ids=repr)
+def test_records_and_text_refuse_every_inexact_coefficient(inexact):
+    # rendering checks each entry as the verifier does, so no inexact
+    # value is printed as a fraction beside "success": true
+    g = w(2, 1) - w(3)
+    cert = RelationCertificate(g, [g], [inexact])
+    message = f"exact rational coefficient required, got {type(inexact).__name__}"
+    for render in (RelationCertificate.verify, RelationCertificate.to_record, str):
+        with pytest.raises(TypeError) as info:
+            render(cert)
+        assert str(info.value) == message
+    # exact entries print as before
+    cert = RelationCertificate(g, [g, w(4)], [Fraction(-1, 2), 3])
+    assert cert.to_record()["coefficients"] == ["-1/2", "3"]
+    assert str(cert) == ": target = -1/2*g0 + 3*g1"
+
+
+def test_a_given_coefficient_list_is_read_anew_at_each_call():
+    # a hand-built certificate keeps the list it was given, not a copy
+    # or a reading of it, so an edit made in place shows at the next call
+    g = w(2, 1) - w(3)
+    coeffs = [Fraction(2), 0]
+    cert = RelationCertificate(2 * g, [g, w(4)], coeffs, "L")
+    assert cert.verify() and cert.to_record()["coefficients"] == ["2", "0"]
+    coeffs[1] = Fraction(1, 3)
+    assert not cert.verify() and cert.to_record()["coefficients"] == ["2", "1/3"]
+    assert str(cert) == "L: target = 2*g0 + 1/3*g1"
+    coeffs[1] = 0
+    assert cert.verify() and cert.to_record()["coefficients"] == ["2", "0"]
+    coeffs.append(0)
+    assert not cert.verify() and cert.to_record()["coefficients"] == ["2", "0", "0"]
+    coeffs[2] = 0.5
+    with pytest.raises(TypeError):
+        cert.to_record()
+    del coeffs[2]
+    assert cert.verify() and cert.coefficients is coeffs
 
 
 def test_certificate_text_lists_the_nonzero_coefficients():
