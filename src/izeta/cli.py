@@ -150,11 +150,12 @@ def _cmd_verify_reduction(args):
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t)
     relations = args.relations(args.k)
-    # Each identity's sides are built once, graded, at its key's first
-    # relation, and no side outlives its Taylor shift.  Under --numeric
-    # each key's sides are evaluated as they pass and handed on unchanged;
-    # `certify_relations` reads the stream whole before it solves, so a
-    # bad --M is rejected before any solve.
+    # Each identity's sides are built once, graded, in a batch of
+    # identities that share one run of S^t, and carried by its key's first
+    # relation; at most one batch waits, and no side outlives its Taylor
+    # shift.  Under --numeric each key's sides are evaluated as they pass
+    # and handed on unchanged; `certify_relations` reads the stream whole
+    # before it solves, so a bad --M is rejected before any solve.
     reports = []
 
     def evaluated(relations):

@@ -4,12 +4,16 @@ half-parameter translation between star values and odd-letter words.
 
 The sum formula and the cyclic sum formula are each stated once, in the
 graded integer form {word: {degree in t: int}} of the operator's
-whole-sum recursion (`_sum_formula_graded`, `_cyclic_graded`): S^t of a
-sum of words, times (1 - t), plus z_k times the interpolation
-polynomial or k t^n z_(k+1).  The reduction certificates read that form
-directly; `formal_sides` turns a graded pair into the pair of formal sums
-that the numeric checks evaluate, and `sum_formula_sides` and
-`cyclic_sides` are the two identities in that form."""
+whole-sum recursion, for a batch of depths or of cyclic words at a time
+(`_sum_formula_batch`, `_cyclic_batch`): S^t of a sum of words, times
+(1 - t), plus z_k times the interpolation polynomial or k t^n z_(k+1).
+The S^t sides of a whole batch come from one run of the recursion,
+split back per identity by `interpolate._s_t_lists`, and each
+identity's pair is yielded in turn.  The reduction certificates read
+that form directly; `formal_sides` turns a graded pair into the pair of
+formal sums that the numeric checks evaluate, and `sum_formula_sides`
+and `cyclic_sides`, batches of one, are the two identities in that
+form."""
 
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ from .algebra import (
     t_harmonic_product,
     word_linear,
 )
-from .interpolate import _s_t_graded, _s_t_word, s_poly, s_t
+from .interpolate import _s_t_lists, _s_t_word, s_poly, s_t
 
 
 def words_of_weight(k):
@@ -81,7 +85,7 @@ def sum_poly(k, n):
 def _s_t_of_words(words):
     """S^t of the sum of `words`, each with coefficient 1, graded; a word
     named twice counts twice."""
-    return _s_t_graded([(u, {0: 1}) for u in words])
+    return next(_s_t_lists([list(words)]))
 
 
 def formal_sides(sides):
@@ -91,9 +95,16 @@ def formal_sides(sides):
 
 
 def _sum_formula_graded(k, n):
-    """`sum_formula_sides(k, n)` as {word: {degree: int}} each."""
-    rhs = {(k,): _sum_poly_coeffs(k, n)}
-    return _s_t_of_words(_sum_families(k)[n]), rhs
+    """`sum_formula_sides(k, n)` as {word: {degree: int}} each: the batch
+    of one depth."""
+    return _s_t_of_words(_sum_families(k)[n]), {(k,): _sum_poly_coeffs(k, n)}
+
+
+def _sum_formula_batch(k, depths):
+    """`_sum_formula_graded(k, n)` for each depth n of `depths` in turn,
+    the S^t sides of all of them from one run of the recursion."""
+    images = _s_t_lists([_sum_families(k)[n] for n in depths])
+    return ((lhs, {(k,): _sum_poly_coeffs(k, n)}) for lhs, n in zip(images, depths))
 
 
 def sum_formula_sides(k, n):
@@ -141,19 +152,24 @@ def cyclic_delta(w):
     return FormalSum((_word((rot[0] + rot[1],) + rot[2:]), 1) for rot in _rotations(w))
 
 
-def _cyclic_graded(w):
-    """`cyclic_sides(w)` as {word: {degree: int}} each."""
-    k, n = w.weight, w.depth
-    if n == 0 or k <= n:
-        raise ValueError(f"excluded by n < k: word {w!r}")
-    rhs = {}
-    for u, c in _s_t_of_words(_raised(w)).items():
-        acc = rhs[u] = dict(c)  # times 1 - t
-        for deg, x in c.items():
-            acc[deg + 1] = acc.get(deg + 1, 0) - x
-    # every word of C w contracts to z_(k+1), so rhs holds -n t^n z_(k+1)
-    rhs[(k + 1,)][n] += k
-    return _s_t_of_words(_split(w)), rhs
+def _cyclic_batch(words):
+    """`cyclic_sides(w)` as {word: {degree: int}} each, for each word w of
+    `words` in turn, the S^t sides of all of them from one run of the
+    recursion."""
+    for w in words:
+        if w.depth == 0 or w.weight <= w.depth:
+            raise ValueError(f"excluded by n < k: word {w!r}")
+    images = _s_t_lists([list(side(w)) for w in words for side in (_split, _raised)])
+    for w in words:
+        lhs, raised = next(images), next(images)
+        # the raised words all have length n, so a word u of their image
+        # has the one degree n - len(u); times 1 - t, in place
+        n = w.depth
+        for u, c in raised.items():
+            c[n - len(u) + 1] = -c[n - len(u)]
+        # every word of C w contracts to z_(k+1), so raised holds -n t^n z_(k+1)
+        raised[(w.weight + 1,)][n] += w.weight
+        yield lhs, raised
 
 
 def cyclic_sides(w):
@@ -161,7 +177,7 @@ def cyclic_sides(w):
     weight k and depth n < k: S^t(Sigma w), the rotations split at the
     head, and (1 - t) S^t(C w) + k t^n z_{k+1}, the rotations with the head
     raised.  Their values agree for every t."""
-    return formal_sides(_cyclic_graded(w))
+    return formal_sides(next(_cyclic_batch([w])))
 
 
 def csf_generator(w):

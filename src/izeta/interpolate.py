@@ -28,7 +28,10 @@ stored integers and keeps its denominator.  The image of a one-word sum
 stores one shifted dict per sigma, shared by the words with that sigma,
 so its 2^(n-1) words hold n dicts.  `s_alpha` evaluates each distinct
 (stored dict, word length n) once, at alpha^sigma for sigma < n, from
-one power table (`algebra._at_alpha`).
+one power table (`algebra._at_alpha`).  `_s_t_lists` runs the recursion
+once on many lists of words, each list at its own degree offset, and
+splits the result back into one graded image per list; the offset rule
+and its proof are stated there.
 `_taylor_parts` takes the (t - alpha)^m parts of one graded side, or
 of the difference of two, split by degree and re-expanded about
 alpha = p/q by Horner's rule in integers, each part left as integers
@@ -151,6 +154,46 @@ def _s_t_graded(items):
                 for deg, x in c.items():
                     acc[deg + 1] = acc.get(deg + 1, 0) + x
     return out
+
+
+def _s_t_lists(word_lists):
+    """S^t of the sum of each of the lists of words `word_lists`, graded,
+    each word with coefficient 1 (a word named twice counts twice): one
+    {word: {degree: int}} per list, yielded in turn, from one run of
+    `_s_t_graded` on all the lists.
+
+    The offset rule: with K the longest word's length (at least 1),
+    list i enters at degree i*K and is read back from degree d as list
+    d // K at degree d % K.  Proof: S^t is linear and sends a word w to
+    its contractions u with t^sigma, sigma = len(w) - len(u), which is 0
+    for the unit and below len(w) <= K otherwise, and the recursion only
+    adds coefficients met at one degree.  So what list i
+    contributes lands at degree i*K + sigma with 0 <= sigma < K, and no
+    two lists meet at one degree.  Every input is positive, so no
+    coefficient cancels to zero.
+
+    The recursion's result is emptied into one row of (word, degree,
+    coefficient) per list as it is read, and a list's image is built from
+    its row only when asked for: so the two copies never both hold the
+    whole batch, and one image's dicts lie together in memory, where the
+    Taylor shift reads them faster than dicts interleaved with the other
+    lists'."""
+    size = max((len(u) for words in word_lists for u in words), default=1) or 1
+    graded = _s_t_graded([(u, {i * size: 1}) for i, words in enumerate(word_lists) for u in words])
+    rows = [[] for _ in word_lists]
+    # degree d -> (the row of list d // K, d % K)
+    where = [(row.append, sigma) for row in rows for sigma in range(size)]
+    for u in list(graded):
+        for deg, x in graded.pop(u).items():
+            add, sigma = where[deg]
+            add((u, sigma, x))
+    del graded, where  # so that each row goes once its image is built
+    rows.reverse()
+    while rows:
+        side = {}
+        for u, sigma, x in rows.pop():
+            side.setdefault(u, {})[sigma] = x
+        yield side
 
 
 def s_poly(e, param):

@@ -28,28 +28,32 @@ generators (part 0 of each key) are built to certify and verify.
 Every certificate reads its target and coefficients off one part
 (`_Part`), whether solved or given to the constructor: a solved part's
 public target (a formal sum) and coefficient list are built on first
-read, as the JSON records do, and a given list is read as it is at each
-verify and record.  Assigning either field gives that one certificate a
-part of its own.
+read, as the JSON records do, and a list, given or built, is read as it
+is at each verify and record.  Assigning either field gives that one
+certificate a part of its own.
 
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
 since the cyclic sum formula sums over all rotations.  The relation
-builders yield graded sides only, each built once, at its key's first
-relation, and not kept: the later relations of a key carry None, since
-every consumer reads sides only at a new key.  Relations with one
-key are shifted and solved once: their certificates keep their own
-labels but share one part per power, and so one target and one
+builders yield graded sides only, each built once and carried by its
+key's first relation, and not kept: the later relations of a key carry
+None, since every consumer reads sides only at a new key.  The sides are
+built in batches of keys, in stream order: one run of S^t for a batch
+(`identities._cyclic_batch`, `_sum_formula_batch`), which closes once
+its keys name `_BATCH_WORDS` input words to S^t, and each key's sides
+are split off as it is reached, so at most one batch waits.  Relations
+with one key are shifted and solved once: their certificates keep their
+own labels but share one part per power, and so one target and one
 coefficient-list object each, and every certificate of one call shares
 one generator list.  The verifier and the JSON records do each shared
 object's work once.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .algebra import _as_exact, _t_free_sum, as_sum
-from .identities import _cyclic_graded, _rotations, _sum_formula_graded, words_of_weight
+from .identities import _cyclic_batch, _rotations, _sum_formula_batch, words_of_weight
 from .interpolate import _taylor_parts
 
 
@@ -91,9 +95,9 @@ class _Part:
     given.  A solved part is shared by the certificates of one relation
     key and power; its target sum and coefficient list are built on
     first read and kept, and the built sum then stores the integers,
-    reduced, in their place.  A given list is never cached: it is read
-    anew at each verify and each record, so an edit made in place
-    shows."""
+    reduced, in their place.  A list, given or built, is never cached
+    as nonzeros: it is read anew at each verify and each record, so an
+    edit made in place shows in both."""
 
     __slots__ = ("den", "vec", "nonzero", "size", "_target", "_coefficients")
 
@@ -115,16 +119,18 @@ class _Part:
     def terms(self, size, forms):
         """The target's integers (den, vec) and the nonzero coefficients,
         as checked against `size` generators, or None when there are no
-        coefficients or not `size` of them.  A given list is read in this
-        order: its length, then the target (one that carries t raises
+        coefficients or not `size` of them.  A list, given or built, is
+        read as it is now, so what a record prints is what is checked, in
+        this order: its length, then the target (one that carries t raises
         ValueError), then each entry (an inexact one, zero or not, raises
         TypeError).  Target objects are converted once in `forms`."""
         coeffs = self._coefficients
-        given = self.nonzero is None  # a given list, or solved outside the span
-        if (coeffs is None or len(coeffs) != size) if given else self.size != size:
+        # a list given or built, or no list and no solved nonzeros
+        listed = coeffs is not None or self.nonzero is None
+        if (coeffs is None or len(coeffs) != size) if listed else self.size != size:
             return None
         den, vec = (self.den, self.vec) if self.vec is not None else _form(self._target, forms)
-        return den, vec, _nonzero(coeffs) if given else self.nonzero
+        return den, vec, _nonzero(coeffs) if listed else self.nonzero
 
 
 class RelationCertificate:
@@ -316,9 +322,9 @@ def verify_certificates(certs):
 
     Each certificate is read off its part (`_Part.terms`): a solved part
     gives the target's integers and the nonzero coefficients as solved,
-    with no formal sum or coefficient list built; a given list is read
-    as it is now.  A failed certificate, or a coefficient list of the
-    wrong length, fails; an inexact coefficient, zero or not, raises
+    with no formal sum or coefficient list built; a list, given or built
+    since, is read as it is now.  A failed certificate, or a coefficient
+    list of the wrong length, fails; an inexact coefficient, zero or not, raises
     TypeError, and a target that carries t raises ValueError.  A used
     generator that carries t raises ValueError too.  Each generator is
     converted to integers once however many certificates share it (as
@@ -422,14 +428,39 @@ def _check_weight(k):
         raise ValueError("weight must be at least 2")
 
 
+# A batch of relations closes once its sides name this many input words
+# to S^t: enough for every relation of cyclic k = 8 and of sum formula
+# k = 11 in one batch, and few enough that at cyclic k = 13 and sum
+# formula k = 17 the peak memory stays below that of building each
+# relation alone.
+_BATCH_WORDS = 16384
+
+
+def _in_batches(build, items, words):
+    """The sides `build(batch)` of each of `items` in turn, built in
+    batches of consecutive items, each batch closing once its items
+    name `_BATCH_WORDS` input words, as `words(item)` counts them.  A
+    side is let go once yielded, so at most one batch of sides waits."""
+    start = count = 0
+    for end, item in enumerate(items, 1):
+        count += words(item)
+        if count >= _BATCH_WORDS or end == len(items):
+            yield from build(items[start:end])
+            start, count = end, 0
+
+
 def sum_formula_relations(k):
     """The weight-k sum formula, one relation per depth n < k, as
     (label, (lhs, rhs), number of powers of t - alpha, key): the sides are
     graded, {word: {degree in t: int}}, the degree in t is below n, and
     the key is n, so no two relations share one.  The weight is checked at
-    once; each relation's sides are built when it is reached."""
+    once; the sides are built in batches of depths, as they are reached."""
     _check_weight(k)
-    return ((f"k={k} n={n}", _sum_formula_graded(k, n), n, n) for n in range(1, k))
+    # depth n names its C(k - 2, n - 1) words to S^t
+    sides = _in_batches(
+        lambda depths: _sum_formula_batch(k, depths), range(1, k), lambda n: comb(k - 2, n - 1)
+    )
+    return ((f"k={k} n={n}", next(sides), n, n) for n in range(1, k))
 
 
 def cyclic_relations(k):
@@ -437,19 +468,20 @@ def cyclic_relations(k):
     k and depth below k, as in `sum_formula_relations`: the degree in t is
     at most the depth of w.  Both sides sum over the rotations of w, so
     the key is w's least rotation.  The first word of a rotation class
-    carries that class's sides, built when it is reached; the other words
-    of the class carry None, so no sides are kept here once yielded.  The
-    weight is checked at once."""
+    carries that class's sides, built in batches of classes as they are
+    reached; the other words of the class carry None, so no sides are
+    kept here once yielded.  The weight is checked at once."""
     _check_weight(k)
-    seen = set()  # least rotations of the classes already yielded
-
-    def relation(w):
-        key = min(_rotations(w))
-        sides = None if key in seen else _cyclic_graded(w)
-        seen.add(key)
-        return f"k={k} word={w}", sides, w.depth + 1, key
-
-    return (relation(w) for w in words_of_weight(k) if w.depth < k)
+    keys = {w: min(_rotations(w)) for w in words_of_weight(k) if w.depth < k}
+    firsts = {}  # key -> the first word of its class
+    for w, key in keys.items():
+        firsts.setdefault(key, w)
+    # a class names k words to S^t: n raised and k - n split, n its depth
+    sides = _in_batches(_cyclic_batch, list(firsts.values()), lambda w: k)
+    return (
+        (f"k={k} word={w}", next(sides) if firsts[key] is w else None, w.depth + 1, key)
+        for w, key in keys.items()
+    )
 
 
 def verify_sf_reduction(k, alpha=0):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -306,6 +307,21 @@ def test_certificate_output_is_pinned_byte_for_byte(capsys, argv):
     assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
 
 
+@pytest.mark.parametrize("per_batch", [1, 2, 3])
+@pytest.mark.parametrize(
+    "argv", [("verify", "cyclic", "--k", "8"), ("verify", "sum-formula", "--k", "11", "--json")]
+)
+def test_certificate_output_is_the_same_in_smaller_batches(capsys, monkeypatch, argv, per_batch):
+    # a rotation class of weight 8 names 8 words, and the depths 1, 2, 3
+    # of weight 11 name 1, 9 and 36, so the first batch holds per_batch
+    # relations
+    bound = 8 * per_batch if "cyclic" in argv else sum(comb(9, j) for j in range(per_batch))
+    monkeypatch.setattr(reduction, "_BATCH_WORDS", bound)
+    assert cli.run(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
+
+
 def test_numeric_sum_formula_output_is_pinned_byte_for_byte(capsys):
     # recorded before the series shared their inner layers; kept out of
     # PINNED_STDOUT so that the IDs of its sorted cases stay as they are
@@ -398,11 +414,11 @@ def _identity(label):
 
 @pytest.mark.parametrize("suite, k, relations", [("sum-formula", "7", 6), ("cyclic", "5", 15)])
 def test_numeric_builds_each_relation_once(capsys, monkeypatch, suite, k, relations):
-    calls, evaluated = [], []
-    for name in ("_sum_formula_graded", "_cyclic_graded"):
+    batches, evaluated = [], []
+    for name in ("_sum_formula_batch", "_cyclic_batch"):
         build = getattr(reduction, name)
         monkeypatch.setattr(
-            reduction, name, lambda *args, build=build: calls.append(args) or build(*args)
+            reduction, name, lambda *args, build=build: batches.append(args[-1]) or build(*args)
         )
     verify = cli.verify_identity
     monkeypatch.setattr(
@@ -414,21 +430,34 @@ def test_numeric_builds_each_relation_once(capsys, monkeypatch, suite, k, relati
     numeric = [line.split(":")[0].split(maxsplit=1)[1] for line in out if " t=" in line]
     assert len(numeric) == relations
     # each identity, one per depth or rotation class (6 of the 15 cyclic
-    # words at k = 5), is built once and evaluated once
+    # words at k = 5), is built once, in one batch, and evaluated once
     identities = {_identity(label) for label in numeric}
-    assert len(calls) == len(evaluated) == len(identities) == 6
+    [batch] = batches
+    built = {n if type(n) is int else _identity(f"word={n}") for n in batch}
+    assert len(batch) == len(evaluated) == len(identities) == 6
+    assert built == identities
 
 
-@pytest.mark.parametrize("suite, k", [("sum-formula", "7"), ("cyclic", "5")])
+@pytest.mark.parametrize("suite, k, bound, batches", [
+    pytest.param("sum-formula", "7", None, [6], id="sum-formula-7"),
+    pytest.param("cyclic", "5", None, [6], id="cyclic-5"),
+    # the depths name 1, 5, 10, 10, 5 and 1 words; a batch closes at 6
+    pytest.param("sum-formula", "7", 6, [2, 1, 1, 2], id="sum-formula-7-bound-6"),
+    # each rotation class names 5 words; a batch closes at two classes
+    pytest.param("cyclic", "5", 10, [2, 2, 2], id="cyclic-5-bound-10"),
+])
 def test_numeric_checks_each_identity_as_the_certifier_reads_it(
-    capsys, monkeypatch, suite, k
+    capsys, monkeypatch, suite, k, bound, batches
 ):
-    # each identity's sides are built, evaluated and shifted in turn, so
-    # no key's sides wait for the others'
+    # each batch of identities is built, then each identity in it is
+    # evaluated and shifted in turn, so no batch's sides wait for the
+    # next batch's
+    if bound is not None:
+        monkeypatch.setattr(reduction, "_BATCH_WORDS", bound)
     calls = []
     spies = [
-        (reduction, "_sum_formula_graded", "build"),
-        (reduction, "_cyclic_graded", "build"),
+        (reduction, "_sum_formula_batch", "build"),
+        (reduction, "_cyclic_batch", "build"),
         (cli, "verify_identity", "evaluate"),
         (reduction, "_taylor_parts", "shift"),
     ]
@@ -440,7 +469,9 @@ def test_numeric_checks_each_identity_as_the_certifier_reads_it(
     code, _, _ = run_lines(capsys, ["verify", suite, "--k", k, "--numeric"])
     assert code == 0
     # six depths, or six rotation classes of the 15 cyclic words at k = 5
-    assert calls == ["build", "evaluate", "shift"] * 6
+    assert calls == [
+        step for size in batches for step in ["build"] + ["evaluate", "shift"] * size
+    ]
 
 
 _CLI_UNDER_SIGNALS = """

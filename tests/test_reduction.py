@@ -2,6 +2,8 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -24,6 +26,7 @@ from helpers import (
     compositions,
     cyclic_merges,
     cyclic_relation_parts,
+    interpolation_by_recursion,
     sum_formula_relation_parts,
     words_up_to_weight,
 )
@@ -409,9 +412,8 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
     # The certify path runs in integers: graded sides, integer Taylor parts
     # and integer solves.  Those are the seams counted; no formal sum is
     # converted to integers while certifying.
-    calls = Counter()
+    calls, batches = Counter(), []
     for owner, name in [
-        (reduction, "_cyclic_graded"),
         (reduction, "_taylor_parts"),
         (SpanSolver, "_coefficients"),
         (reduction, "_integer_form"),
@@ -420,6 +422,8 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
         monkeypatch.setattr(
             owner, name, lambda *args, name=name, call=call: calls.update([name]) or call(*args)
         )
+    build = reduction._cyclic_batch
+    monkeypatch.setattr(reduction, "_cyclic_batch", lambda words: batches.append(words) or build(words))
     # both sides of the cyclic sum formula sum over the rotations of a word,
     # so one relation per rotation class, with one part per power of t
     words = [v for v in compositions(8) if len(v) < 8]
@@ -427,7 +431,10 @@ def test_each_rotation_class_is_built_shifted_and_solved_once(monkeypatch):
     certs = verify_csf_reduction(8)
     assert (len(words), len(classes), len(certs)) == (127, 34, 695)
     parts = sum(len(v) + 1 for v in classes)
-    assert calls == {"_cyclic_graded": 34, "_taylor_parts": 34, "_coefficients": parts}
+    # the 34 classes are built once each, in one batch
+    [batch] = batches
+    assert len(batch) == 34 and {min(v[i:] + v[:i] for i in range(len(v))) for v in batch} == classes
+    assert calls == {"_taylor_parts": 34, "_coefficients": parts}
     assert parts == 170
     # the certificates of one class share their target and coefficients
     by_label = {c.label: c for c in certs}
@@ -491,6 +498,106 @@ def test_relation_streams_carry_graded_sides_at_each_keys_first_relation():
     )
 
 
+def _plain(side):
+    """A graded side as {tuple: {degree: value}}, zeros dropped."""
+    out = {tuple(u): {e: c for e, c in poly.items() if c} for u, poly in side.items()}
+    return {u: poly for u, poly in out.items() if poly}
+
+
+def _image(words, times=(1,)):
+    """S^t of the sum of the letter tuples `words` (a word named twice
+    counts twice) times the polynomial `times` in t, from the plain-dict
+    recursion, zeros dropped."""
+    out = {}
+    for v in words:
+        for u, poly in interpolation_by_recursion(v).items():
+            acc = out.setdefault(u, {})
+            for e, c in poly.items():
+                for j, x in enumerate(times):
+                    acc[e + j] = acc.get(e + j, 0) + x * c
+    return _plain(out)
+
+
+def _class_words(v):
+    """The split and the raised words of the rotations of v."""
+    rotations = [v[i:] + v[:i] for i in range(len(v))]
+    split = [(r[0] + 1 - j,) + r[1:] + (j,) for r in rotations for j in range(1, r[0])]
+    return split, [(r[0] + 1,) + r[1:] for r in rotations]
+
+
+@cache
+def _cyclic_oracle(v):
+    """Both sides of the cyclic sum formula for the letter tuple v: S^t of
+    the split words, and (1 - t) S^t of the raised words plus k t^n z_(k+1)."""
+    split, raised = _class_words(v)
+    k, n = sum(v), len(v)
+    rhs = _image(raised, (1, -1))
+    rhs[(k + 1,)][n] = rhs[(k + 1,)].get(n, 0) + k
+    return _image(split), _plain(rhs)
+
+
+@cache
+def _sum_formula_oracle(k, n):
+    """Both sides of the sum formula at weight k and depth n: S^t of the
+    admissible words, and z_k times C(k-n+j-1, j) t^j, j < n."""
+    words = [v for v in compositions(k) if len(v) == n and v[0] > 1]
+    return _image(words), {(k,): {j: comb(k - n + j - 1, j) for j in range(n)}}
+
+
+def _spy_batches(monkeypatch, name, batches):
+    build = getattr(reduction, name)
+    monkeypatch.setattr(
+        reduction, name, lambda *args: batches.append(list(args[-1])) or build(*args)
+    )
+
+
+@pytest.mark.parametrize("per_batch", [1, 2, 3])
+def test_cyclic_sides_split_back_exactly_from_batches_of_classes(monkeypatch, per_batch):
+    coincide = False
+    for k in range(2, 9):
+        whole = list(reduction.cyclic_relations(k))  # one batch
+        batches = []
+        _spy_batches(monkeypatch, "_cyclic_batch", batches)
+        # every class names k words, so a batch closes at per_batch classes
+        monkeypatch.setattr(reduction, "_BATCH_WORDS", per_batch * k)
+        assert list(reduction.cyclic_relations(k)) == whole
+        monkeypatch.undo()
+        # each class is built once, in stream order, per_batch to a batch
+        classes = [key for _, sides, _, key in whole if sides is not None]
+        built = [min(v[i:] + v[:i] for i in range(len(v))) for batch in batches for v in batch]
+        assert built == classes
+        assert all(len(batch) == per_batch for batch in batches[:-1])
+        for _, sides, _, key in whole:
+            if sides is not None:
+                assert tuple(map(_plain, sides)) == _cyclic_oracle(tuple(key))
+        # two classes of one batch naming one word: only the offsets keep
+        # that word's two images apart
+        coincide |= any(
+            set(sum(_class_words(a), [])) & set(sum(_class_words(b), []))
+            for batch in batches for a, b in combinations(batch, 2)
+        )
+    assert coincide == (per_batch > 1)
+
+
+@pytest.mark.parametrize("per_batch", [1, 2, 3])
+def test_sum_formula_sides_split_back_exactly_from_batches_of_depths(monkeypatch, per_batch):
+    for k in range(2, 12):
+        whole = list(reduction.sum_formula_relations(k))  # one batch
+        batches = []
+        _spy_batches(monkeypatch, "_sum_formula_batch", batches)
+        # depth n names C(k-2, n-1) words, so the first batch closes at
+        # depth per_batch
+        bound = sum(comb(k - 2, j) for j in range(per_batch))
+        monkeypatch.setattr(reduction, "_BATCH_WORDS", bound)
+        assert list(reduction.sum_formula_relations(k)) == whole
+        monkeypatch.undo()
+        assert sum(batches, []) == list(range(1, k))
+        assert batches[0] == list(range(1, min(per_batch, k - 1) + 1))
+        assert len(batches) > 1 or k - 1 <= per_batch
+        for _, sides, _, n in whole:
+            assert tuple(map(_plain, sides)) == _sum_formula_oracle(k, n)
+
+
 @pytest.mark.parametrize("coefficients", [[2, 0, 99], [2, 0, 0], [2], []])
 def test_verify_fails_a_coefficient_list_of_the_wrong_length(coefficients):
     g = w(2, 1) - w(3)
@@ -542,6 +649,24 @@ def test_a_given_coefficient_list_is_read_anew_at_each_call():
         cert.to_record()
     del coeffs[2]
     assert cert.verify() and cert.coefficients is coeffs
+
+
+def test_an_edit_to_a_solved_coefficient_list_is_what_the_verifier_checks():
+    # once a solved part's list is built, the verifier reads that list, so
+    # a record never prints coefficients that were not checked
+    certs = verify_csf_reduction(5)
+    [c] = [c for c in certs if c.label == "cyclic k=5 word=5 power=0"]
+    assert c.verify()
+    i = next(i for i, x in enumerate(c.coefficients) if x)
+    c.coefficients[i] += 1
+    assert not c.verify()
+    sharing = [j for j, d in enumerate(certs) if d._part is c._part]
+    oks = verify_certificates(certs)
+    for j in sharing:
+        record = certs[j].to_record()
+        assert record["coefficients"][i] == str(c.coefficients[i])
+        assert not oks[j] and not certs[j].verify()
+    assert sum(oks) == len(certs) - len(sharing)
 
 
 def test_certificate_text_lists_the_nonzero_coefficients():
