@@ -150,12 +150,13 @@ def _cmd_verify_reduction(args):
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t)
     relations = args.relations(args.k)
-    # Each identity's sides are built once, graded, in a batch of
-    # identities that share one run of S^t, and carried by its key's first
-    # relation; at most one batch waits, and no side outlives its Taylor
-    # shift.  Under --numeric each key's sides are evaluated as they pass
-    # and handed on unchanged; `certify_relations` reads the stream whole
-    # before it solves, so a bad --M is rejected before any solve.
+    # Each identity's sides are built once, graded, in the one run of S^t
+    # that every identity of the suite shares, and carried by its key's
+    # first relation; each is split off that run as it is reached, and no
+    # side outlives its Taylor shift.  Under --numeric each key's sides
+    # are evaluated as they pass and handed on unchanged;
+    # `certify_relations` reads the stream whole before it solves, so a
+    # bad --M is rejected before any solve.
     reports = []
 
     def evaluated(relations):
@@ -165,6 +166,7 @@ def _cmd_verify_reduction(args):
                 by_key[key] = verify_identity(*formal_sides(sides), [t], args.M)
             reports.append((label, by_key[key]))
             yield label, sides, powers, key
+            del sides  # before the next relation's sides are built
 
     if args.numeric:
         relations = evaluated(relations)

@@ -9,11 +9,11 @@ whole-sum recursion, for a batch of depths or of cyclic words at a time
 (1 - t), plus z_k times the interpolation polynomial or k t^n z_(k+1).
 The S^t sides of a whole batch come from one run of the recursion,
 split back per identity by `interpolate._s_t_lists`, and each
-identity's pair is yielded in turn.  The reduction certificates read
-that form directly; `formal_sides` turns a graded pair into the pair of
-formal sums that the numeric checks evaluate, and `sum_formula_sides`
-and `cyclic_sides`, batches of one, are the two identities in that
-form."""
+identity's pair is yielded in turn; the reduction certificates read
+every identity of a suite from one batch, in that form.
+`formal_sides` turns a graded pair into the pair of formal sums that
+the numeric checks evaluate, and `sum_formula_sides` and
+`cyclic_sides`, batches of one, are the two identities in that form."""
 
 from __future__ import annotations
 
@@ -82,36 +82,28 @@ def sum_poly(k, n):
     return _poly(_sum_poly_coeffs(k, n))
 
 
-def _s_t_of_words(words):
-    """S^t of the sum of `words`, each with coefficient 1, graded; a word
-    named twice counts twice."""
-    return next(_s_t_lists([list(words)]))
-
-
 def formal_sides(sides):
     """The graded sides {word: {degree in t: int}} of an identity, as the
     tuple of formal sums they state."""
     return tuple(_reduced(1, side) for side in sides)
 
 
-def _sum_formula_graded(k, n):
-    """`sum_formula_sides(k, n)` as {word: {degree: int}} each: the batch
-    of one depth."""
-    return _s_t_of_words(_sum_families(k)[n]), {(k,): _sum_poly_coeffs(k, n)}
-
-
 def _sum_formula_batch(k, depths):
-    """`_sum_formula_graded(k, n)` for each depth n of `depths` in turn,
-    the S^t sides of all of them from one run of the recursion."""
+    """`sum_formula_sides(k, n)` as {word: {degree: int}} each, for each
+    depth n of `depths` in turn, the S^t sides of all of them from one
+    run of the recursion.  Every depth is checked, by its right side,
+    before any family is read."""
+    rhs = [{(k,): _sum_poly_coeffs(k, n)} for n in depths]
     images = _s_t_lists([_sum_families(k)[n] for n in depths])
-    return ((lhs, {(k,): _sum_poly_coeffs(k, n)}) for lhs, n in zip(images, depths))
+    for side in rhs:
+        yield next(images), side
 
 
 def sum_formula_sides(k, n):
     """The two sides of the interpolated sum formula at weight k and depth
     n: S^t of the sum of all admissible words of weight k and depth n, and
     z_k times `sum_poly(k, n)`.  Their values agree for every t."""
-    return formal_sides(_sum_formula_graded(k, n))
+    return formal_sides(next(_sum_formula_batch(k, [n])))
 
 
 def _rotations(parts):
@@ -170,6 +162,7 @@ def _cyclic_batch(words):
         # every word of C w contracts to z_(k+1), so raised holds -n t^n z_(k+1)
         raised[(w.weight + 1,)][n] += w.weight
         yield lhs, raised
+        del lhs, raised  # before the next word's sides are built
 
 
 def cyclic_sides(w):

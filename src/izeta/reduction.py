@@ -37,11 +37,11 @@ the sum formula, and in the cyclic suite the least rotation of the word,
 since the cyclic sum formula sums over all rotations.  The relation
 builders yield graded sides only, each built once and carried by its
 key's first relation, and not kept: the later relations of a key carry
-None, since every consumer reads sides only at a new key.  The sides are
-built in batches of keys, in stream order: one run of S^t for a batch
-(`identities._cyclic_batch`, `_sum_formula_batch`), which closes once
-its keys name `_BATCH_WORDS` input words to S^t, and each key's sides
-are split off as it is reached, so at most one batch waits.  Relations
+None, since every consumer reads sides only at a new key.  The sides of
+every key come from one run of S^t over all of them
+(`identities._cyclic_batch`, `_sum_formula_batch`), and each key's sides
+are split off as it is reached and let go once used, before the next
+key's are built.  Relations
 with one key are shifted and solved once: their certificates keep their
 own labels but share one part per power, and so one target and one
 coefficient-list object each, and every certificate of one call shares
@@ -50,7 +50,7 @@ object's work once.
 """
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .algebra import _as_exact, _t_free_sum, as_sum
 from .identities import _cyclic_batch, _rotations, _sum_formula_batch, words_of_weight
@@ -404,6 +404,7 @@ def certify_relations(suite, relations, alpha):
         if key not in parts_of:
             parts_of[key] = _taylor_parts(sides, alpha, powers)
         labelled.append((f"{suite} {label}", key))
+        del sides  # before the next relation's sides are built
     firsts = {key: _t_free_sum(*parts[0]) for key, parts in parts_of.items()}
     gens = [firsts[key] for _, key in labelled]
     solver = SpanSolver(gens, [parts_of[key][0] for _, key in labelled])
@@ -428,38 +429,15 @@ def _check_weight(k):
         raise ValueError("weight must be at least 2")
 
 
-# A batch of relations closes once its sides name this many input words
-# to S^t: enough for every relation of cyclic k = 8 and of sum formula
-# k = 11 in one batch, and few enough that at cyclic k = 13 and sum
-# formula k = 17 the peak memory stays below that of building each
-# relation alone.
-_BATCH_WORDS = 16384
-
-
-def _in_batches(build, items, words):
-    """The sides `build(batch)` of each of `items` in turn, built in
-    batches of consecutive items, each batch closing once its items
-    name `_BATCH_WORDS` input words, as `words(item)` counts them.  A
-    side is let go once yielded, so at most one batch of sides waits."""
-    start = count = 0
-    for end, item in enumerate(items, 1):
-        count += words(item)
-        if count >= _BATCH_WORDS or end == len(items):
-            yield from build(items[start:end])
-            start, count = end, 0
-
-
 def sum_formula_relations(k):
     """The weight-k sum formula, one relation per depth n < k, as
     (label, (lhs, rhs), number of powers of t - alpha, key): the sides are
     graded, {word: {degree in t: int}}, the degree in t is below n, and
     the key is n, so no two relations share one.  The weight is checked at
-    once; the sides are built in batches of depths, as they are reached."""
+    once; the sides of every depth come from one run of S^t, each split
+    off as it is reached."""
     _check_weight(k)
-    # depth n names its C(k - 2, n - 1) words to S^t
-    sides = _in_batches(
-        lambda depths: _sum_formula_batch(k, depths), range(1, k), lambda n: comb(k - 2, n - 1)
-    )
+    sides = _sum_formula_batch(k, range(1, k))
     return ((f"k={k} n={n}", next(sides), n, n) for n in range(1, k))
 
 
@@ -468,16 +446,15 @@ def cyclic_relations(k):
     k and depth below k, as in `sum_formula_relations`: the degree in t is
     at most the depth of w.  Both sides sum over the rotations of w, so
     the key is w's least rotation.  The first word of a rotation class
-    carries that class's sides, built in batches of classes as they are
-    reached; the other words of the class carry None, so no sides are
-    kept here once yielded.  The weight is checked at once."""
+    carries that class's sides, split off one run of S^t over every class
+    as it is reached; the other words of the class carry None, so no sides
+    are kept here once yielded.  The weight is checked at once."""
     _check_weight(k)
     keys = {w: min(_rotations(w)) for w in words_of_weight(k) if w.depth < k}
     firsts = {}  # key -> the first word of its class
     for w, key in keys.items():
         firsts.setdefault(key, w)
-    # a class names k words to S^t: n raised and k - n split, n its depth
-    sides = _in_batches(_cyclic_batch, list(firsts.values()), lambda w: k)
+    sides = _cyclic_batch(list(firsts.values()))
     return (
         (f"k={k} word={w}", next(sides) if firsts[key] is w else None, w.depth + 1, key)
         for w, key in keys.items()

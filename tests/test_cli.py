@@ -10,7 +10,6 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -307,21 +306,6 @@ def test_certificate_output_is_pinned_byte_for_byte(capsys, argv):
     assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
 
 
-@pytest.mark.parametrize("per_batch", [1, 2, 3])
-@pytest.mark.parametrize(
-    "argv", [("verify", "cyclic", "--k", "8"), ("verify", "sum-formula", "--k", "11", "--json")]
-)
-def test_certificate_output_is_the_same_in_smaller_batches(capsys, monkeypatch, argv, per_batch):
-    # a rotation class of weight 8 names 8 words, and the depths 1, 2, 3
-    # of weight 11 name 1, 9 and 36, so the first batch holds per_batch
-    # relations
-    bound = 8 * per_batch if "cyclic" in argv else sum(comb(9, j) for j in range(per_batch))
-    monkeypatch.setattr(reduction, "_BATCH_WORDS", bound)
-    assert cli.run(list(argv)) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
-
-
 def test_numeric_sum_formula_output_is_pinned_byte_for_byte(capsys):
     # recorded before the series shared their inner layers; kept out of
     # PINNED_STDOUT so that the IDs of its sorted cases stay as they are
@@ -438,22 +422,15 @@ def test_numeric_builds_each_relation_once(capsys, monkeypatch, suite, k, relati
     assert built == identities
 
 
-@pytest.mark.parametrize("suite, k, bound, batches", [
-    pytest.param("sum-formula", "7", None, [6], id="sum-formula-7"),
-    pytest.param("cyclic", "5", None, [6], id="cyclic-5"),
-    # the depths name 1, 5, 10, 10, 5 and 1 words; a batch closes at 6
-    pytest.param("sum-formula", "7", 6, [2, 1, 1, 2], id="sum-formula-7-bound-6"),
-    # each rotation class names 5 words; a batch closes at two classes
-    pytest.param("cyclic", "5", 10, [2, 2, 2], id="cyclic-5-bound-10"),
+@pytest.mark.parametrize("suite, k, batches", [
+    pytest.param("sum-formula", "7", [6], id="sum-formula-7"),
+    pytest.param("cyclic", "5", [6], id="cyclic-5"),
 ])
 def test_numeric_checks_each_identity_as_the_certifier_reads_it(
-    capsys, monkeypatch, suite, k, bound, batches
+    capsys, monkeypatch, suite, k, batches
 ):
-    # each batch of identities is built, then each identity in it is
-    # evaluated and shifted in turn, so no batch's sides wait for the
-    # next batch's
-    if bound is not None:
-        monkeypatch.setattr(reduction, "_BATCH_WORDS", bound)
+    # the identities are built in one run, then each is evaluated and
+    # shifted in turn, so no identity's sides wait for the next one's
     calls = []
     spies = [
         (reduction, "_sum_formula_batch", "build"),

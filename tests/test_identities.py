@@ -8,7 +8,6 @@ import pytest
 from izeta.algebra import FormalSum, Index, RatPoly, T, Word, harmonic_product
 from izeta.identities import (
     _raised,
-    _s_t_of_words,
     _split,
     alt_sum,
     csf_generator,
@@ -17,13 +16,14 @@ from izeta.identities import (
     cyclic_Sigma,
     cyclic_delta,
     odd_product_check,
+    sum_formula_sides,
     sum_poly,
     sum_words,
     two_one_lhs_index,
     two_one_rhs_word,
     words_of_weight,
 )
-from izeta.interpolate import d_dt, s_alpha, s_t
+from izeta.interpolate import _s_t_lists, d_dt, s_alpha, s_t
 
 from helpers import (
     compositions,
@@ -174,7 +174,7 @@ def test_s_t_of_the_split_and_raised_words_of_a_periodic_word(letters):
             for _, sigma, blocks in merge_bitmask_contractions(v):
                 acc = expected.setdefault(blocks, {})
                 acc[sigma] = acc.get(sigma, 0) + 1
-        got = _s_t_of_words(named)
+        got = next(_s_t_lists([list(named)]))
         assert {tuple(u): {e: c for e, c in p.items() if c} for u, p in got.items()} == expected
 
 
@@ -307,6 +307,9 @@ def test_odd_check_rejects_even_letters():
         (lambda: alt_sum([]), "letter sequence must be nonempty"),
         (lambda: two_one_lhs_index([]), "need at least one block"),
         (lambda: two_one_lhs_index([1, -1]), "block sizes must be nonnegative"),
+        (lambda: sum_formula_sides(5, 7), "empty family: weight 5, depth 7"),
+        (lambda: sum_formula_sides(5, 5), "empty family: weight 5, depth 5"),
+        (lambda: sum_formula_sides(5, 0), "empty family: weight 5, depth 0"),
     ],
 )
 def test_identity_builders_refuse_empty_or_negative_input(call, message):

@@ -175,13 +175,25 @@ def reads(source):
     return found
 
 
-def unread_private_names(sources):
-    """`module:name` of each private definition in the {module: source}
-    dict `sources` that no module reads outside the definition itself."""
+def public_definitions(source):
+    """(name, first line, last line) of each module-level function or
+    class whose name has no leading underscore."""
+    return [
+        (node.name, node.lineno, node.end_lineno)
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def unread_names(sources, definitions):
+    """`module:name` of each definition, as `definitions` lists those of a
+    source, in the {module: source} dict `sources` that no module reads
+    outside the definition itself."""
     read = {module: reads(source) for module, source in sources.items()}
     unread = []
     for module, source in sources.items():
-        for name, first, last in private_definitions(source):
+        for name, first, last in definitions(source):
             if not any(
                 n == name and not (m == module and first <= line <= last)
                 for m, lines in read.items()
@@ -203,7 +215,24 @@ def test_the_checker_sees_a_planted_dead_helper():
         ),
         "b": "from .a import _used\n_used()\n",
     }
-    assert unread_private_names(planted) == ["a:_recursive", "a:_Dead", "a:_unread"]
+    assert unread_names(planted, private_definitions) == ["a:_recursive", "a:_Dead", "a:_unread"]
+
+
+def test_the_checker_sees_a_planted_dead_public_helper():
+    planted = {
+        "a.py": (
+            "LIMIT = 3\n"
+            "def used():\n    return LIMIT\n"
+            "def exported():\n    return 1\n"
+            "def recursive(n):\n    return recursive(n - 1)\n"
+            "class Dead:\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b.py": "from .a import used\nused()\n",
+        # a re-export counts as a read
+        "__init__.py": "from .a import exported\n__all__ = ['exported']\n",
+    }
+    assert unread_names(planted, public_definitions) == ["a.py:recursive", "a.py:Dead"]
 
 
 # Modules whose state is invisible at a call site: a context variable or a
@@ -258,7 +287,14 @@ def test_the_package_keeps_no_hidden_state():
 def test_every_private_name_of_the_package_is_read():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert sum(len(private_definitions(s)) for s in sources.values()) > 0
-    assert unread_private_names(sources) == []
+    assert unread_names(sources, private_definitions) == []
+
+
+def test_every_public_function_and_class_of_the_package_is_read():
+    # `izeta`'s re-exports count as reads
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(public_definitions(s)) for s in sources.values()) > 0
+    assert unread_names(sources, public_definitions) == []
 
 
 def undocumented(source, names):

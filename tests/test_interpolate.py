@@ -19,7 +19,7 @@ from izeta.algebra import (
     substitute_t,
     t_harmonic_product,
 )
-from izeta.identities import _sum_formula_graded
+from izeta.identities import _sum_formula_batch
 from izeta.interpolate import (
     _s_t_graded,
     _s_t_word,
@@ -673,7 +673,7 @@ def test_s_t_of_one_word_stores_one_dict_per_sigma_that_nothing_changes(n):
     for alpha in (0, -1, Fraction(355, 113)):
         s_alpha(e, alpha), substitute_t(e, alpha), taylor_shift(e, alpha)
     # the sum formula's depth-n side is S^t of the same word
-    sides = _sum_formula_graded(n + 1, n)
+    sides = next(_sum_formula_batch(n + 1, [n]))
     _taylor_parts(sides, Fraction(-2, 7), 1 + max(max(c) for side in sides for c in side.values()))
     assert {i: dict(c) for i, c in dicts.items()} == snapshot
     assert all(dicts[id(c)] is c for c in e._graded.values())

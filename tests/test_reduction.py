@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from izeta import reduction
 from izeta.algebra import FormalSum, T, Word
-from izeta.identities import sum_poly, sum_words
+from izeta.identities import sum_formula_sides, sum_poly, sum_words
 from izeta.interpolate import s_t, taylor_shift
 from izeta.reduction import (
     RelationCertificate,
@@ -551,30 +551,36 @@ def _spy_batches(monkeypatch, name, batches):
     )
 
 
+def _chunks(keys, size):
+    """The consecutive chunks of `keys`, `size` to a chunk but the last."""
+    return [keys[i:i + size] for i in range(0, len(keys), size)]
+
+
 @pytest.mark.parametrize("per_batch", [1, 2, 3])
 def test_cyclic_sides_split_back_exactly_from_batches_of_classes(monkeypatch, per_batch):
     coincide = False
     for k in range(2, 9):
-        whole = list(reduction.cyclic_relations(k))  # one batch
         batches = []
         _spy_batches(monkeypatch, "_cyclic_batch", batches)
-        # every class names k words, so a batch closes at per_batch classes
-        monkeypatch.setattr(reduction, "_BATCH_WORDS", per_batch * k)
-        assert list(reduction.cyclic_relations(k)) == whole
+        whole = list(reduction.cyclic_relations(k))
         monkeypatch.undo()
-        # each class is built once, in stream order, per_batch to a batch
+        # one run over every class, in stream order
         classes = [key for _, sides, _, key in whole if sides is not None]
-        built = [min(v[i:] + v[:i] for i in range(len(v))) for batch in batches for v in batch]
-        assert built == classes
-        assert all(len(batch) == per_batch for batch in batches[:-1])
+        [batch] = batches
+        assert [min(v[i:] + v[:i] for i in range(len(v))) for v in batch] == classes
+        # the same sides from consecutive chunks of per_batch classes
+        chunks = _chunks(batch, per_batch)
+        assert [sides for chunk in chunks for sides in reduction._cyclic_batch(chunk)] == [
+            sides for _, sides, _, _ in whole if sides is not None
+        ]
         for _, sides, _, key in whole:
             if sides is not None:
                 assert tuple(map(_plain, sides)) == _cyclic_oracle(tuple(key))
-        # two classes of one batch naming one word: only the offsets keep
+        # two classes of one chunk naming one word: only the offsets keep
         # that word's two images apart
         coincide |= any(
             set(sum(_class_words(a), [])) & set(sum(_class_words(b), []))
-            for batch in batches for a, b in combinations(batch, 2)
+            for chunk in chunks for a, b in combinations(chunk, 2)
         )
     assert coincide == (per_batch > 1)
 
@@ -582,20 +588,23 @@ def test_cyclic_sides_split_back_exactly_from_batches_of_classes(monkeypatch, pe
 @pytest.mark.parametrize("per_batch", [1, 2, 3])
 def test_sum_formula_sides_split_back_exactly_from_batches_of_depths(monkeypatch, per_batch):
     for k in range(2, 12):
-        whole = list(reduction.sum_formula_relations(k))  # one batch
         batches = []
         _spy_batches(monkeypatch, "_sum_formula_batch", batches)
-        # depth n names C(k-2, n-1) words, so the first batch closes at
-        # depth per_batch
-        bound = sum(comb(k - 2, j) for j in range(per_batch))
-        monkeypatch.setattr(reduction, "_BATCH_WORDS", bound)
-        assert list(reduction.sum_formula_relations(k)) == whole
+        whole = list(reduction.sum_formula_relations(k))
         monkeypatch.undo()
-        assert sum(batches, []) == list(range(1, k))
-        assert batches[0] == list(range(1, min(per_batch, k - 1) + 1))
-        assert len(batches) > 1 or k - 1 <= per_batch
+        # one run over every depth, in stream order
+        assert batches == [list(range(1, k))]
+        # the same sides from consecutive chunks of per_batch depths
+        chunks = _chunks(list(range(1, k)), per_batch)
+        assert [sides for chunk in chunks for sides in reduction._sum_formula_batch(k, chunk)] == [
+            sides for _, sides, _, _ in whole
+        ]
         for _, sides, _, n in whole:
             assert tuple(map(_plain, sides)) == _sum_formula_oracle(k, n)
+            # the public form, a batch of one
+            assert tuple(
+                _plain({u: p.coeffs for u, p in e.items()}) for e in sum_formula_sides(k, n)
+            ) == _sum_formula_oracle(k, n)
 
 
 @pytest.mark.parametrize("coefficients", [[2, 0, 99], [2, 0, 0], [2], []])
