@@ -306,6 +306,28 @@ def test_certificate_output_is_pinned_byte_for_byte(capsys, argv):
     assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
 
 
+@pytest.mark.parametrize("argv", sorted(a for a in PINNED_STDOUT if a[0] == "verify"))
+def test_each_verify_call_runs_s_t_once_over_all_its_identities(capsys, monkeypatch, argv):
+    runs = []
+    run = identities._s_t_lists
+    monkeypatch.setattr(
+        identities, "_s_t_lists", lambda lists: runs.append(len(lists)) or run(lists)
+    )
+    assert cli.run(list(argv)) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
+    k = int(" ".join(argv).replace("=", " ").split("--k ")[1].split()[0])
+    if argv[1] == "sum-formula":
+        # one word list per depth n < k
+        expected = k - 1
+    else:
+        # two word lists, the split and the raised rotations, per rotation
+        # class of the words of depth below k
+        classes = {min(c[i:] + c[:i] for i in range(len(c))) for c in compositions(k) if len(c) < k}
+        expected = 2 * len(classes)
+    assert runs == [expected]
+
+
 def test_numeric_sum_formula_output_is_pinned_byte_for_byte(capsys):
     # recorded before the series shared their inner layers; kept out of
     # PINNED_STDOUT so that the IDs of its sorted cases stay as they are
