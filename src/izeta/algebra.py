@@ -402,10 +402,18 @@ class FormalSum:
         # from the stored integers, one text per distinct dict: no RatPoly
         text = {id(c): c for c in self._graded.values()}
         text = {i: _poly_text(c, self._den) for i, c in text.items()}
-        return " + ".join(f"({text[id(c)]})*[{w}]" for w, c in sorted(self._graded.items())) or "0"
+        return _sum_text((text[id(c)], str(w)) for w, c in sorted(self._graded.items()))
 
     def __repr__(self):
         return f"FormalSum('{self}')"
+
+
+def _sum_text(terms):
+    """The text of a formal sum from its terms in word order, each the
+    text of its coefficient and of its word: "(c)*[w]" joined by " + ",
+    or "0" if there is none.  `str(FormalSum)` and the certificate
+    records of `reduction` print sums through it."""
+    return " + ".join([f"({c})*[{w}]" for c, w in terms]) or "0"
 
 
 def _normal_sum(graded, den=1):

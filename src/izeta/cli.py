@@ -7,6 +7,11 @@ request nested deeper than Python's recursion limit), 141 stdout closed
 before all output was written (as in `izeta ... | head`; a shell reports
 128 + SIGPIPE for a process that the signal ends).
 Exact rationals on the command line are written p/q.
+
+Output goes through `_write` in slices of at most 512 bytes.  A verify
+JSON document is written as it is made, one certificate record at a
+time (`_document`): no string of the whole document is built, and each
+generator list and coefficient list that records share is encoded once.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import (
     FormalSum,
@@ -82,22 +88,31 @@ def _block_sizes(text):
 _ATOMIC_WRITE = 512
 
 
-def _write(text):
-    """Print `text` and a newline to stdout in atomic slices.
+def _write(pieces):
+    """Print the texts `pieces`, in turn, and a newline to stdout in
+    atomic slices.
 
     With unbuffered stdout (`python -u`, PYTHONUNBUFFERED) each write goes
     straight to the file.  A long write to a pipe that a signal interrupts
     returns a short count, and the text layer drops the rest without an
-    error; a write of at most PIPE_BUF bytes is never cut.  The output is
+    error; a write of at most PIPE_BUF bytes is never cut.  Pieces are
+    gathered up to a whole slice before each write, so every slice but
+    the last is full, as if the whole text were sliced.  The output is
     ASCII, so characters are bytes.
     """
-    text += "\n"
-    for i in range(0, len(text), _ATOMIC_WRITE):
-        sys.stdout.write(text[i : i + _ATOMIC_WRITE])
+    rest = ""
+    for piece in chain(pieces, ["\n"]):
+        rest += piece
+        end = len(rest) - len(rest) % _ATOMIC_WRITE
+        for i in range(0, end, _ATOMIC_WRITE):
+            sys.stdout.write(rest[i : i + _ATOMIC_WRITE])
+        rest = rest[end:]
+    if rest:
+        sys.stdout.write(rest)
 
 
 def _emit(args, human, record):
-    _write(json.dumps(record, sort_keys=True) if args.json else human)
+    _write([json.dumps(record, sort_keys=True) if args.json else human])
 
 
 def _cmd_expand(args):
@@ -174,13 +189,13 @@ def _cmd_verify_reduction(args):
     oks = verify_certificates(certs)
     ok = all(oks)
     if args.json:
-        doc = {"suite": args.suite, "checks": certificate_records(certs), "ok": ok}
+        doc = {"suite": args.suite, "ok": ok}
         if reports:
             doc["numeric"] = [
                 {"label": label, "checks": [str(c) for c in rep.checks], "ok": rep.ok}
                 for label, rep in reports
             ]
-        _write(json.dumps(doc, sort_keys=True))
+        _write(_document(certificate_records(certs), doc))
     else:
         lines = [("ok   " if v else "FAIL ") + c.label for c, v in zip(certs, oks)]
         verdict = "all ok" if ok else "FAILURES"
@@ -190,8 +205,27 @@ def _cmd_verify_reduction(args):
             for label, rep in reports
             for check in rep.checks
         ]
-        _write("\n".join(lines))
+        _write(["\n".join(lines)])
     return 0 if ok and all(rep.ok for _, rep in reports) else 1
+
+
+def _document(records, doc):
+    """The text of `json.dumps(dict(doc, checks=records), sort_keys=True)`
+    in pieces: one record at a time, each list a record holds encoded
+    once per list object, then the keys of doc, which sort after
+    "checks"."""
+    encoded = {}  # id of a list the records hold -> its JSON text
+
+    def dumped(value):
+        if type(value) is list:
+            return encoded.get(id(value)) or encoded.setdefault(id(value), json.dumps(value))
+        return json.dumps(value)
+
+    yield '{"checks": ['
+    for i, record in enumerate(records):
+        fields = ", ".join(f"{dumped(k)}: {dumped(v)}" for k, v in sorted(record.items()))
+        yield (", {" if i else "{") + fields + "}"
+    yield "], " + json.dumps(doc, sort_keys=True)[1:]
 
 
 def _cmd_verify_alt_sum(args):

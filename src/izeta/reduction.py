@@ -28,8 +28,11 @@ generators (part 0 of each key) are built to certify and verify.
 Every certificate reads its target and coefficients off one part
 (`_Part`), whether solved or given to the constructor: a solved part's
 public target (a formal sum) and coefficient list are built on first
-read, as the JSON records do, and a list, given or built, is read as it
-is at each verify and record.  Assigning either field gives that one
+read, and a list, given or built, is read as it is at each verify and
+record.  The JSON records read a solved part as the verifier does: the
+target is printed from its integers and, while no list is built, the
+coefficients from the nonzero ones, through the text function that
+`str(FormalSum)` prints with.  Assigning either field gives that one
 certificate a part of its own.
 
 Each relation carries a key for the identity it states: the depth n in
@@ -50,9 +53,10 @@ object's work once.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 
-from .algebra import _as_exact, _t_free_sum, as_sum
+from .algebra import Word, _as_exact, _poly_text, _sum_text, _t_free_sum, as_sum
 from .identities import _cyclic_batch, _rotations, _sum_formula_batch, words_of_weight
 from .interpolate import _taylor_parts
 
@@ -87,9 +91,10 @@ def _nonzero(coeffs):
 
 class _Part:
     """A certificate's target and coefficients, each in one of two forms.
-    The target is the integers (den, {Word: int}) it was solved from, or
-    an object: a formal sum built from them, a generator, or the target
-    a certificate was given.  The coefficients are the solver's nonzero
+    The target is the integers (den, {word: int}) it was solved from,
+    with no zero and each word a Word or a plain tuple, as
+    `_taylor_parts` gives them; or an object: a formal sum built from
+    them, a generator, or the target a certificate was given.  The coefficients are the solver's nonzero
     ones {generator index: Fraction} with the number of generators, or
     None outside the span; or the list (or None) a certificate was
     given.  A solved part is shared by the certificates of one relation
@@ -285,30 +290,45 @@ class SpanSolver:
 def certificate_records(certs):
     """The machine-readable dict of each certificate (label, target,
     generators, coefficients as p/q strings or "FAILURE", success),
-    rendering each part, and each generator list, once however many
-    certificates share it (as all certificates from one
+    rendering each part, each generator list and each sum once however
+    many certificates share it (as all certificates from one
     `certify_relations` call share their generators, and those of one
-    relation key and power their part).  An inexact coefficient raises
-    TypeError, as in `verify_certificates`."""
-    rendered = {}  # id of a part or a generator list -> its text
+    relation key and power their part), into one text or list object.
+    A solved part is read as `_Part.terms` reads it: its target is
+    printed from its integers, as `str(_t_free_sum(den, vec))` would
+    print it, and, while no list has been built, its coefficients from
+    the solver's nonzero ones, so neither a sum nor a list is built.  The
+    text of each word and value is made once per call.  An inexact
+    coefficient raises TypeError, as in `verify_certificates`."""
+    texts = {}  # id of a part, a generator list or a sum -> its text
+    # each key printed as a Word is, whether a Word or a plain tuple
+    words, values = cache(Word.__str__), cache(lambda x, den: _poly_text({0: x}, den))
+
+    def rendered(part):
+        coeffs = part._coefficients
+        if coeffs is not None:
+            # `is` renders the solver's zeros without a call
+            coeffs = ["0" if c is _ZERO else str(_as_exact(c)) for c in coeffs]
+        elif part.nonzero is not None:  # the solver's, with no list built
+            coeffs = ["0"] * part.size
+            for i, c in part.nonzero.items():
+                coeffs[i] = str(c)
+        if part.vec is None:
+            target = _once(str, part._target, texts)
+        else:
+            target = _sum_text((values(x, part.den), words(w)) for w, x in sorted(part.vec.items()))
+        return target, "FAILURE" if coeffs is None else coeffs
+
     records = []
-    # iterating a list keeps every certificate, and so every part and
-    # generator list, alive, so no id is reused
+    # iterating a list keeps every certificate, and so every part,
+    # generator list and sum, alive, so no id is reused
     for cert in list(certs):
         part, gens = cert._part, cert.generators
-        if id(part) not in rendered:
-            coeffs = part.coefficients()
-            # `is` renders the solver's zeros without a call
-            rendered[id(part)] = str(part.target()), "FAILURE" if coeffs is None else [
-                "0" if c is _ZERO else str(_as_exact(c)) for c in coeffs
-            ]
-        if id(gens) not in rendered:
-            rendered[id(gens)] = [str(g) for g in gens]
-        target, coefficients = rendered[id(part)]
+        target, coefficients = _once(rendered, part, texts)
         records.append({
             "label": cert.label,
             "target": target,
-            "generators": rendered[id(gens)],
+            "generators": _once(lambda gens: [_once(str, g, texts) for g in gens], gens, texts),
             "coefficients": coefficients,
             "success": cert.success,
         })
@@ -345,12 +365,17 @@ def verify_certificates(certs):
     return oks
 
 
+def _once(f, e, done):
+    """f(e), made once per object e in `done` {id of e: f(e)}."""
+    value = done.get(id(e))
+    if value is None:
+        value = done[id(e)] = f(e)
+    return value
+
+
 def _form(e, forms):
     """`_integer_form` of e, converted once per object in `forms`."""
-    form = forms.get(id(e))
-    if form is None:
-        form = forms[id(e)] = _integer_form(e)
-    return form
+    return _once(_integer_form, e, forms)
 
 
 def _holds(part, gens, forms):

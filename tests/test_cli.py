@@ -565,6 +565,81 @@ def test_printed_certificates_hold_by_a_check_on_the_text_alone(capsys, argv):
     assert [v for v in verdicts if not v] == [False] and not verdicts[n]
 
 
+def _streamed_and_dumped(capsys, monkeypatch, argv, tamper=None):
+    """The exit status and stdout of `izeta verify ... --json`, and the
+    document json.dumps writes of the same certificates and numeric
+    reports, caught on their way to the printer and tampered with first
+    if asked."""
+    seen, reports = {}, []
+    certify, evaluate = cli.certify_relations, cli.verify_identity
+
+    def certified(suite, relations, alpha):
+        relations = list(relations)
+        seen["keys"] = [(label, key) for label, _, _, key in relations]
+        certs = seen["certs"] = certify(suite, relations, alpha)
+        if tamper is not None:
+            tamper(certs)
+        return certs
+
+    monkeypatch.setattr(cli, "certify_relations", certified)
+    monkeypatch.setattr(
+        cli, "verify_identity", lambda *args: reports.append(evaluate(*args)) or reports[-1]
+    )
+    code = cli.run(list(argv))
+    out = capsys.readouterr().out
+    certs = seen["certs"]
+    doc = {
+        "suite": argv[1],
+        "checks": reduction.certificate_records(certs),
+        "ok": all(reduction.verify_certificates(certs)),
+    }
+    if reports:
+        # one report per identity, in the order of each key's first relation
+        by_key = dict(zip(dict.fromkeys(key for _, key in seen["keys"]), reports))
+        doc["numeric"] = [
+            {"label": label, "checks": [str(c) for c in by_key[key].checks], "ok": by_key[key].ok}
+            for label, key in seen["keys"]
+        ]
+    return code, out, json.dumps(doc, sort_keys=True) + "\n"
+
+
+def _first_difference(a, b):
+    """None if the texts a and b are equal, else the offset of their
+    first difference and what each holds from there: a short failure
+    message where a diff of two long documents takes minutes."""
+    if a == b:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    return i, a[i : i + 60], b[i : i + 60]
+
+
+@pytest.mark.parametrize("numeric", [[], ["--numeric"]], ids=["", "numeric"])
+@pytest.mark.parametrize(
+    "suite, k", [("cyclic", k) for k in range(2, 7)] + [("sum-formula", k) for k in range(2, 10)]
+)
+def test_the_streamed_verify_document_is_what_json_dumps_writes(
+    capsys, monkeypatch, suite, k, numeric
+):
+    argv = ["verify", suite, "--k", str(k), "--json", *numeric]
+    code, out, dumped = _streamed_and_dumped(capsys, monkeypatch, argv)
+    assert code == 0 and _first_difference(out, dumped) is None
+    verdicts = printed_certificates_hold(out)
+    assert verdicts and all(verdicts)
+
+
+def test_a_failed_certificate_streams_as_json_dumps_writes_it(capsys, monkeypatch):
+    def tamper(certs):
+        certs[7].coefficients = None
+
+    argv = ["verify", "cyclic", "--k", "5", "--json"]
+    code, out, dumped = _streamed_and_dumped(capsys, monkeypatch, argv, tamper)
+    assert code == 1 and _first_difference(out, dumped) is None
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["checks"][7]["coefficients"] == "FAILURE" and doc["checks"][7]["success"] is False
+    assert printed_certificates_hold(out) == [n != 7 for n in range(len(doc["checks"]))]
+
+
 def test_the_printed_sum_parser_refuses_what_is_not_a_t_free_sum():
     assert parse_printed_sum("(1)*[2,1] + (-3/2)*[3]") == {(2, 1): 1, (3,): Fraction(-3, 2)}
     assert parse_printed_sum("0") == {}

@@ -707,14 +707,34 @@ def test_the_text_verify_path_builds_no_coefficient_list_and_no_target_sum(monke
     a, b = (by_label[f"cyclic k=8 word={v} power=1"] for v in ("1,2,5", "2,5,1"))
     assert a.coefficients is b.coefficients
     assert calls == {"_t_free_sum": 34, "_dense": 1}
-    # the JSON records build each list and each target once per shared
-    # part: 170 parts, 34 of whose targets are the generators
+    # the JSON records print a solved part whose list was never read from
+    # its integers and nonzero coefficients too, building neither, and
+    # print what the built target sums and lists print
     certs = verify_csf_reduction(8)
     calls.clear()
     records = reduction.certificate_records(certs)
+    assert not calls
+    assert reduction.certificate_records(certs) == records
+    assert not calls
+    assert [(c.target, c.coefficients) for c in certs]  # each part's, built
     assert calls == {"_dense": 170, "_t_free_sum": 170 - 34}
     assert reduction.certificate_records(certs) == records
-    assert calls == {"_dense": 170, "_t_free_sum": 170 - 34}
+
+
+def test_a_solved_target_prints_its_plain_tuple_words_as_words():
+    # S^t gives a part's words as plain tuples, whose own text is "(2, 9)":
+    # a record prints each as the equal Word prints, here where no
+    # generator has the word, over den 1 and over a den with a common factor
+    g = w(3)
+    for den, vec, text in [
+        (1, {(2, 9): 1, (1, 1, 9): -2, Word((11,)): 3}, "(-2)*[1,1,9] + (1)*[2,9] + (3)*[11]"),
+        (6, {(2, 9): 4, (5, 6): -3}, "(2/3)*[2,9] + (-1/2)*[5,6]"),
+    ]:
+        part = reduction._Part(None, None, {0: Fraction(1, 2)}, 1, den, dict(vec))
+        cert = RelationCertificate._solved(part, [g], "L")
+        [record] = reduction.certificate_records([cert])
+        assert record["target"] == text == str(reduction._t_free_sum(den, vec))
+        assert record["coefficients"] == ["1/2"] and record["generators"] == ["(1)*[3]"]
 
 
 def _tampered(kind, cert):
