@@ -442,6 +442,16 @@ def _view(den, graded):
     return out
 
 
+def _subtract(acc, factor, row):
+    """acc -= factor * row on sparse dicts, dropping what cancels."""
+    for key, c in row.items():
+        nc = acc.get(key, 0) - factor * c
+        if nc:
+            acc[key] = nc
+        else:
+            acc.pop(key, None)
+
+
 def _plus(c1, c2):
     """The sum of two polynomials {degree: coefficient}, zeros dropped."""
     return {e: x for e in c1.keys() | c2.keys() if (x := c1.get(e, 0) + c2.get(e, 0))}

@@ -8,7 +8,8 @@ before all output was written (as in `izeta ... | head`; a shell reports
 128 + SIGPIPE for a process that the signal ends).
 Exact rationals on the command line are written p/q.
 
-Output goes through `_write` in slices of at most 512 bytes.  A verify
+Output goes through `_write`, in slices of at most 512 bytes where stdout
+writes straight to the file, and in whole pieces otherwise.  A verify
 JSON document is written as it is made, one certificate record at a
 time (`_document`): no string of the whole document is built, and each
 generator list and coefficient list that records share is encoded once.
@@ -17,6 +18,7 @@ generator list and coefficient list that records share is encoded once.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -89,17 +91,21 @@ _ATOMIC_WRITE = 512
 
 
 def _write(pieces):
-    """Print the texts `pieces`, in turn, and a newline to stdout in
-    atomic slices.
+    """Print the texts `pieces`, in turn, and a newline to stdout.
 
-    With unbuffered stdout (`python -u`, PYTHONUNBUFFERED) each write goes
-    straight to the file.  A long write to a pipe that a signal interrupts
-    returns a short count, and the text layer drops the rest without an
-    error; a write of at most PIPE_BUF bytes is never cut.  Pieces are
-    gathered up to a whole slice before each write, so every slice but
-    the last is full, as if the whole text were sliced.  The output is
-    ASCII, so characters are bytes.
+    A buffered binary layer finishes each write that a signal cuts short,
+    so over one each piece is written whole.  With unbuffered stdout
+    (`python -u`, PYTHONUNBUFFERED) the text layer writes straight to the
+    file: a long write to a pipe that a signal interrupts returns a short
+    count, and the text layer drops the rest without an error, while a
+    write of at most PIPE_BUF bytes is never cut.  So there, and for a
+    stdout of unknown kind, pieces are gathered up to a whole slice before
+    each write, so every slice but the last is full, as if the whole text
+    were sliced.  The output is ASCII, so characters are bytes.
     """
+    if isinstance(getattr(sys.stdout, "buffer", None), io.BufferedIOBase):
+        sys.stdout.writelines(chain(pieces, ["\n"]))
+        return
     rest = ""
     for piece in chain(pieces, ["\n"]):
         rest += piece
@@ -165,10 +171,10 @@ def _cmd_verify_reduction(args):
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t)
     relations = args.relations(args.k)
-    # Each identity's sides are built once, graded, in the one run of S^t
-    # that every identity of the suite shares, and carried by its key's
-    # first relation; each is split off that run as it is reached, and no
-    # side outlives its Taylor shift.  Under --numeric each key's sides
+    # Each identity's sides are built once, split by degree, from the one
+    # run of S^t that every identity of the suite shares, and carried by
+    # its key's first relation; no side outlives its Taylor shift, which
+    # uses it up.  Under --numeric each key's sides
     # are evaluated as they pass and handed on unchanged;
     # `certify_relations` reads the stream whole before it solves, so a
     # bad --M is rejected before any solve.
@@ -181,7 +187,7 @@ def _cmd_verify_reduction(args):
                 by_key[key] = verify_identity(*formal_sides(sides), [t], args.M)
             reports.append((label, by_key[key]))
             yield label, sides, powers, key
-            del sides  # before the next relation's sides are built
+            del sides  # so that they go once the certifier is done with them
 
     if args.numeric:
         relations = evaluated(relations)

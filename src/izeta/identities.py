@@ -2,17 +2,17 @@
 fixed-weight sum families, cyclic generators, the alternating sum, and the
 half-parameter translation between star values and odd-letter words.
 
-The sum formula and the cyclic sum formula are each stated once, in the
-graded integer form {word: {degree in t: int}} of the operator's
-whole-sum recursion, for a batch of depths or of cyclic words at a time
-(`_sum_formula_batch`, `_cyclic_batch`): S^t of a sum of words, times
-(1 - t), plus z_k times the interpolation polynomial or k t^n z_(k+1).
-The S^t sides of a whole batch come from one run of the recursion,
-split back per identity by `interpolate._s_t_lists`, and each
-identity's pair is yielded in turn; the reduction certificates read
-every identity of a suite from one batch, in that form.
-`formal_sides` turns a graded pair into the pair of formal sums that
-the numeric checks evaluate, and `sum_formula_sides` and
+The sum formula and the cyclic sum formula are each stated once, in
+integers split by degree, each side one {word: int} per degree of t, for
+a batch of depths or of cyclic words at a time (`_sum_formula_batch`,
+`_cyclic_batch`): S^t of a sum of words, times (1 - t), plus z_k times
+the interpolation polynomial or k t^n z_(k+1).  The S^t sides of a whole
+batch come from one run of the recursion, emptied straight into each
+identity's dicts by `interpolate._s_t_lists`, and each identity's pair
+is yielded in turn; the reduction certificates read every identity of a
+suite from one batch, in that form, and use its dicts up.
+`formal_sides` regroups such a pair by word into the pair of formal sums
+that the numeric checks evaluate, and `sum_formula_sides` and
 `cyclic_sides`, batches of one, are the two identities in that form."""
 
 from __future__ import annotations
@@ -83,17 +83,24 @@ def sum_poly(k, n):
 
 
 def formal_sides(sides):
-    """The graded sides {word: {degree in t: int}} of an identity, as the
-    tuple of formal sums they state."""
-    return tuple(_reduced(1, side) for side in sides)
+    """The sides of an identity, each split by degree, one {word: int}
+    per degree of t, as the tuple of formal sums they state: the dicts
+    are regrouped by word into new ones, and only read."""
+    graded = [{} for _ in sides]
+    for acc, side in zip(graded, sides):
+        for deg, part in enumerate(side):
+            for w, x in part.items():
+                acc.setdefault(w, {})[deg] = x
+    return tuple(_reduced(1, acc) for acc in graded)
 
 
 def _sum_formula_batch(k, depths):
-    """`sum_formula_sides(k, n)` as {word: {degree: int}} each, for each
-    depth n of `depths` in turn, the S^t sides of all of them from one
-    run of the recursion.  Every depth is checked, by its right side,
-    before any family is read."""
-    rhs = [{(k,): _sum_poly_coeffs(k, n)} for n in depths]
+    """`sum_formula_sides(k, n)` split by degree, n dicts {word: int}
+    each, for each depth n of `depths` in turn, the S^t sides of all of
+    them from one run of the recursion: the right side is z_k with
+    C(k-n+j-1, j) at degree j.  Every depth is checked, by its right
+    side, before any family is read."""
+    rhs = [[{(k,): c} for c in _sum_poly_coeffs(k, n).values()] for n in depths]
     images = _s_t_lists([_sum_families(k)[n] for n in depths])
     for side in rhs:
         yield next(images), side
@@ -145,24 +152,25 @@ def cyclic_delta(w):
 
 
 def _cyclic_batch(words):
-    """`cyclic_sides(w)` as {word: {degree: int}} each, for each word w of
-    `words` in turn, the S^t sides of all of them from one run of the
-    recursion."""
+    """`cyclic_sides(w)` split by degree, n + 1 dicts {word: int} each
+    for w of depth n, for each word w of `words` in turn, the S^t sides
+    of all of them from one run of the recursion."""
     for w in words:
         if w.depth == 0 or w.weight <= w.depth:
             raise ValueError(f"excluded by n < k: word {w!r}")
     images = _s_t_lists([list(side(w)) for w in words for side in (_split, _raised)])
     for w in words:
         lhs, raised = next(images), next(images)
-        # the raised words all have length n, so a word u of their image
-        # has the one degree n - len(u); times 1 - t, in place
-        n = w.depth
-        for u, c in raised.items():
-            c[n - len(u) + 1] = -c[n - len(u)]
-        # every word of C w contracts to z_(k+1), so raised holds -n t^n z_(k+1)
-        raised[(w.weight + 1,)][n] += w.weight
+        # the raised words all have length n, so the words of the image's
+        # part T_d have length n - d; part d of the image times 1 - t is
+        # T_d beside -T_(d-1), which share no word: in place, top down.
+        # T_(n-1) is n z_(k+1), since every word of C w contracts to it,
+        # so part n is (k - n) z_(k+1) with k t^n z_(k+1) added
+        raised.append({(w.weight + 1,): w.weight - w.depth})
+        for d in range(w.depth - 1, 0, -1):
+            raised[d].update({u: -x for u, x in raised[d - 1].items()})
         yield lhs, raised
-        del lhs, raised  # before the next word's sides are built
+        del lhs, raised  # so that they go once the caller is done with them
 
 
 def cyclic_sides(w):

@@ -22,24 +22,26 @@ integers over one common denominator; `s_poly` multiplies by
 param^sigma, each power computed once per call.
 
 The recursion's graded form {word: {degree: int}} is the form a formal
-sum stores, over its denominator, and what the identities are stated in
-and the reduction certificates read: `s_t` runs the recursion on a sum's
+sum stores, over its denominator: `s_t` runs the recursion on a sum's
 stored integers and keeps its denominator.  The image of a one-word sum
 stores one shifted dict per sigma, shared by the words with that sigma,
 so its 2^(n-1) words hold n dicts.  `s_alpha` evaluates each distinct
 (stored dict, word length n) once, at alpha^sigma for sigma < n, from
 one power table (`algebra._at_alpha`).  `_s_t_lists` runs the recursion
 once on many lists of words, each list at its own degree offset, and
-splits the result back into one graded image per list; the offset rule
-and its proof are stated there.
-`_taylor_parts` takes the (t - alpha)^m parts of one graded side, or
-of the difference of two, split by degree and re-expanded about
+empties the result straight into one {word: int} per list and degree
+of t; the offset rule and its proof are stated there.  That split by
+degree is the form the identities are stated in and the reduction
+certificates read.
+`_taylor_parts` takes the (t - alpha)^m parts of one side split by
+degree, or of the difference of two: at alpha = 0 the split itself, in
+the first side's own dicts, and otherwise a copy re-expanded about
 alpha = p/q by Horner's rule in integers, each part left as integers
 over a power of q.  `taylor_shift` is those parts of one formal sum's
-stored integers, over its denominator times that power, stored by
-`algebra._t_free_sum`, as the certificate targets are.  Results are
-built with the trusted constructors of `algebra` from the validated
-input.
+stored integers, split by degree, over its denominator times that
+power, stored by `algebra._t_free_sum`, as the certificate targets
+are.  Results are built with the trusted constructors of `algebra` from
+the validated input.
 `enumerate_contractions` reads the same expansion as explicit patterns,
 and so do `identities.words_of_weight`, `identities.sum_words` and
 `numeric.mzsv`.
@@ -60,6 +62,7 @@ from .algebra import (
     _at_alpha,
     _normal_sum,
     _reduced,
+    _subtract,
     _t_free_sum,
     _word,
     as_sum,
@@ -157,9 +160,10 @@ def _s_t_graded(items):
 
 
 def _s_t_lists(word_lists):
-    """S^t of the sum of each of the lists of words `word_lists`, graded,
-    each word with coefficient 1 (a word named twice counts twice): one
-    {word: {degree: int}} per list, yielded in turn, from one run of
+    """S^t of the sum of each of the lists of words `word_lists`, each
+    word with coefficient 1 (a word named twice counts twice), by degree:
+    for each list, yielded in turn, one {word: int} per degree of t below
+    the length of its longest word (at least one), from one run of
     `_s_t_graded` on all the lists.
 
     The offset rule: with K the longest word's length (at least 1),
@@ -167,33 +171,27 @@ def _s_t_lists(word_lists):
     d // K at degree d % K.  Proof: S^t is linear and sends a word w to
     its contractions u with t^sigma, sigma = len(w) - len(u), which is 0
     for the unit and below len(w) <= K otherwise, and the recursion only
-    adds coefficients met at one degree.  So what list i
-    contributes lands at degree i*K + sigma with 0 <= sigma < K, and no
-    two lists meet at one degree.  Every input is positive, so no
-    coefficient cancels to zero.
+    adds coefficients met at one degree.  So what list i contributes
+    lands at degree i*K + sigma with 0 <= sigma < L <= K, L the length of
+    its longest word (at least 1), and no two lists meet at one degree.
+    Every input is positive, so no coefficient cancels to zero.
 
-    The recursion's result is emptied into one row of (word, degree,
-    coefficient) per list as it is read, and a list's image is built from
-    its row only when asked for: so the two copies never both hold the
-    whole batch, and one image's dicts lie together in memory, where the
-    Taylor shift reads them faster than dicts interleaved with the other
-    lists'."""
-    size = max((len(u) for words in word_lists for u in words), default=1) or 1
+    The recursion's result is emptied straight into the dicts as it is
+    read, so the two copies never both hold the whole batch; each dict
+    is new and the caller's to change."""
+    lengths = [max(map(len, words), default=0) or 1 for words in word_lists]
+    size = max(lengths, default=1)
     graded = _s_t_graded([(u, {i * size: 1}) for i, words in enumerate(word_lists) for u in words])
-    rows = [[] for _ in word_lists]
-    # degree d -> (the row of list d // K, d % K)
-    where = [(row.append, sigma) for row in rows for sigma in range(size)]
+    sides = [[{} for _ in range(n)] for n in lengths]
+    # degree i*K + s -> the dict of list i at degree s
+    where = {i * size + s: part for i, side in enumerate(sides) for s, part in enumerate(side)}
     for u in list(graded):
         for deg, x in graded.pop(u).items():
-            add, sigma = where[deg]
-            add((u, sigma, x))
-    del graded, where  # so that each row goes once its image is built
-    rows.reverse()
-    while rows:
-        side = {}
-        for u, sigma, x in rows.pop():
-            side.setdefault(u, {})[sigma] = x
-        yield side
+            where[deg][u] = x
+    del graded, where  # so that each side goes once its caller lets it go
+    sides.reverse()
+    while sides:
+        yield sides.pop()
 
 
 def s_poly(e, param):
@@ -270,28 +268,31 @@ def d_dt(e):
 
 def _taylor_parts(sides, alpha, powers):
     """The (t - alpha)^m parts, m < `powers`, of lhs - rhs for `sides`
-    (lhs, rhs), or of lhs for (lhs,): each side graded, {word: {degree:
-    int}}, every degree below `powers`.  Each part is (den, {word: int})
-    with no zero, the part being that over den.  Splitting by degree into
-    P_0, ..., P_d, d = powers - 1, gives the parts at alpha = 0.  Any
-    other alpha = p/q re-expands the split by Horner's rule in integers:
-    the parts R_j = q^(d-j) P_j of q^d e(t/q), scaled as they are split,
-    are shifted to the integer p, for i < d, and j from d - 1 down to i,
+    (lhs, rhs), or of lhs for (lhs,): each side split by degree, one
+    {word: int} with no zero per degree of t, lhs in `powers` dicts and
+    rhs in at most that many.  Each part is (den, {word: int}) with no
+    zero, the part being that over den.  At alpha = 0 the parts are
+    P_0, ..., P_d, d = powers - 1, the split of lhs - rhs: lhs's own
+    dicts, with rhs subtracted in place, so lhs is used up.  Any other
+    alpha = p/q copies the split, scaled, and re-expands it by Horner's
+    rule in integers: the parts R_j = q^(d-j) P_j of q^d e(t/q) are
+    shifted to the integer p, for i < d, and j from d - 1 down to i,
     R_j += p R_(j+1), and part m is R_m over q^(d-m).  So R_m is
     sum_j C(j, m) p^(j-m) q^(d-j+m) P_j, with integer factors."""
     p, q, d = alpha.numerator, alpha.denominator, powers - 1
-    parts = [{} for _ in range(powers)]
-    for sign, side in zip((1, -1), sides):
-        scale = [sign * q ** (d - deg) for deg in range(powers)]
-        for w, c in side.items():
-            for deg, x in c.items():
-                parts[deg][w] = parts[deg].get(w, 0) + scale[deg] * x
+    scales = [q ** (d - j) for j in range(powers)]
+    lhs = sides[0]
+    parts = [{w: s * x for w, x in part.items()} for s, part in zip(scales, lhs)] if p else lhs
+    for side in sides[1:]:
+        for j, part in enumerate(side):
+            _subtract(parts[j], scales[j], part)
     for i in range(d if p else 0):
         for j in range(d - 1, i - 1, -1):
             for w, c in parts[j + 1].items():
                 parts[j][w] = parts[j].get(w, 0) + p * c
-    dens = [q ** (d - m) for m in range(powers)]
-    return [(den, {w: x for w, x in part.items() if x}) for den, part in zip(dens, parts)]
+    # Horner's rule may cancel an entry to zero
+    return [(s, {w: x for w, x in part.items() if x} if p else part)
+            for s, part in zip(scales, parts)]
 
 
 def taylor_shift(e, alpha):
@@ -300,12 +301,15 @@ def taylor_shift(e, alpha):
     Returns the t-free formal sums a_0, ..., a_d, d the largest degree
     in t of a coefficient of e (just a_0 = 0 for e = 0), with
     a_k = (d/dt)^k e |_{t=alpha} / k!: the parts of `_taylor_parts` of
-    e's stored integers, over e's denominator.
+    e's stored integers, split by degree, over e's denominator.
     """
     alpha = _as_exact(alpha)
     e = as_sum(e)
-    degree = max(map(max, e._graded.values()), default=0)
-    parts = _taylor_parts([e._graded], alpha, degree + 1)
+    split = [{} for _ in range(max(map(max, e._graded.values()), default=0) + 1)]
+    for w, c in e._graded.items():
+        for deg, x in c.items():
+            split[deg][w] = x
+    parts = _taylor_parts([split], alpha, len(split))
     return [_t_free_sum(den * e._den, vec) for den, vec in parts]
 
 

@@ -16,12 +16,13 @@ generators and nonzero coefficients.  A failed membership is a value
 exactly which component fell outside the span.
 
 `certify_relations` stays in integers from the identities to the
-solver: it takes each relation's sides only in the graded form
-{word: {degree in t: int}} that `identities` states them in, and
-`interpolate._taylor_parts` subtracts them, splits the difference by
-degree and, at alpha = p/q != 0, shifts the parts by Horner's rule in
-integers, the loop `taylor_shift` runs too.  Part m is then an integer
-vector over a power of q, handed to the solver as it is.  Each part is
+solver: it takes each relation's sides only in the form that
+`identities` states them in, each side split by degree, one {word: int}
+per degree of t.  `interpolate._taylor_parts` subtracts them degree by
+degree, in place in the left side's dicts at alpha = 0, and at
+alpha = p/q != 0 shifts a scaled copy by Horner's rule in integers, the
+loop `taylor_shift` runs too.  Part m is then an integer vector over a
+power of q, handed to the solver as it is.  Each part is
 kept as those integers with the solver's nonzero coefficients, and the
 verifier reads them as they are: of the formal sums, only the
 generators (part 0 of each key) are built to certify and verify.
@@ -38,13 +39,12 @@ certificate a part of its own.
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
 since the cyclic sum formula sums over all rotations.  The relation
-builders yield graded sides only, each built once and carried by its
-key's first relation, and not kept: the later relations of a key carry
-None, since every consumer reads sides only at a new key.  The sides of
-every key come from one run of S^t over all of them
+builders yield sides split by degree only, each built once and carried
+by its key's first relation, and not kept: the later relations of a key
+carry None, since every consumer reads sides only at a new key.  The
+sides of every key come from one run of S^t over all of them
 (`identities._cyclic_batch`, `_sum_formula_batch`), and each key's sides
-are split off as it is reached and let go once used, before the next
-key's are built.  Relations
+are handed on as it is reached and let go once used.  Relations
 with one key are shifted and solved once: their certificates keep their
 own labels but share one part per power, and so one target and one
 coefficient-list object each, and every certificate of one call shares
@@ -56,7 +56,7 @@ from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
 
-from .algebra import Word, _as_exact, _poly_text, _sum_text, _t_free_sum, as_sum
+from .algebra import Word, _as_exact, _poly_text, _subtract, _sum_text, _t_free_sum, as_sum
 from .identities import _cyclic_batch, _rotations, _sum_formula_batch, words_of_weight
 from .interpolate import _taylor_parts
 
@@ -212,16 +212,6 @@ class RelationCertificate:
         used = [f"{c}*g{i}" for i, c in _nonzero(self.coefficients).items()]
         body = " + ".join(used) if used else "0"
         return f"{self.label}: target = {body}"
-
-
-def _subtract(acc, factor, row):
-    """acc -= factor * row on sparse dicts, dropping what cancels."""
-    for key, c in row.items():
-        nc = acc.get(key, 0) - factor * c
-        if nc:
-            acc[key] = nc
-        else:
-            acc.pop(key, None)
 
 
 class SpanSolver:
@@ -409,27 +399,28 @@ def certify_relations(suite, relations, alpha):
 
     `relations` yields (label, (lhs, rhs), number of powers, key) tuples,
     where relations with one key state one identity, and lhs and rhs are
-    graded, {word: {degree in t: int}}.  The sides are read only at a
-    key's first relation, so the later ones may carry None, as in
-    `cyclic_relations`.  `relations` is read to the end before the solver
-    is built, so whatever a caller does as it yields them, such as the
-    CLI's numeric checks, comes before any solve.  The Taylor
-    coefficients of lhs - rhs, padded with zeros to the number of powers,
-    are taken in integers and solved once per key, and only they are kept,
-    with the nonzero coefficients, never the sides.  There is one
-    certificate per relation and power, with its own label; those of one
-    key and power share one part, so their target and coefficient-list
-    objects, each built on first read, are shared.  The generators, one
-    list that every certificate shares, are each relation's coefficient
-    of (t - alpha)^0, in order."""
+    split by degree, one {word: int} per degree of t, lhs in as many
+    dicts as there are powers.  The sides are read only at a key's first
+    relation, so the later ones may carry None, as in `cyclic_relations`,
+    and are used up: at alpha = 0 the Taylor coefficients are lhs's own
+    dicts.  `relations` is read to the end before the solver is built,
+    so whatever a caller does as it yields them, such as the CLI's
+    numeric checks, comes before any solve.  The Taylor coefficients of
+    lhs - rhs, one per power, are taken in integers and solved once per
+    key, and only they are kept, with the nonzero coefficients, never the
+    sides.  There is one certificate per relation and power, with its own
+    label; those of one key and power share one part, so their target
+    and coefficient-list objects, each built on first read, are shared.
+    The generators, one list that every certificate shares, are each
+    relation's coefficient of (t - alpha)^0, in order."""
     alpha = _as_exact(alpha)
-    parts_of = {}  # key -> padded integer Taylor coefficients
+    parts_of = {}  # key -> integer Taylor coefficients
     labelled = []
     for label, sides, powers, key in relations:
         if key not in parts_of:
             parts_of[key] = _taylor_parts(sides, alpha, powers)
         labelled.append((f"{suite} {label}", key))
-        del sides  # before the next relation's sides are built
+        del sides  # what the parts do not keep goes before the next is read
     firsts = {key: _t_free_sum(*parts[0]) for key, parts in parts_of.items()}
     gens = [firsts[key] for _, key in labelled]
     solver = SpanSolver(gens, [parts_of[key][0] for _, key in labelled])
@@ -457,7 +448,7 @@ def _check_weight(k):
 def sum_formula_relations(k):
     """The weight-k sum formula, one relation per depth n < k, as
     (label, (lhs, rhs), number of powers of t - alpha, key): the sides are
-    graded, {word: {degree in t: int}}, the degree in t is below n, and
+    split by degree, n dicts {word: int} each, one per degree in t, and
     the key is n, so no two relations share one.  The weight is checked at
     once; the sides of every depth come from one run of S^t, each split
     off as it is reached."""
@@ -468,8 +459,8 @@ def sum_formula_relations(k):
 
 def cyclic_relations(k):
     """The weight-k cyclic sum formula, one relation per word w of weight
-    k and depth below k, as in `sum_formula_relations`: the degree in t is
-    at most the depth of w.  Both sides sum over the rotations of w, so
+    k and depth below k, as in `sum_formula_relations`: the sides hold
+    one dict per degree in t up to the depth of w.  Both sides sum over the rotations of w, so
     the key is w's least rotation.  The first word of a rotation class
     carries that class's sides, split off one run of S^t over every class
     as it is reached; the other words of the class carry None, so no sides

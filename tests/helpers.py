@@ -161,6 +161,16 @@ def product_of_sums(x, y, word_product):
     return _without_zeros(out)
 
 
+def by_word(side):
+    """A side split by degree, one {word: int} per degree of t, regrouped
+    by word as {word: {degree: int}}."""
+    out = {}
+    for deg, part in enumerate(side):
+        for u, x in part.items():
+            out.setdefault(u, {})[deg] = x
+    return out
+
+
 def dict_to_sum(d):
     """Lift a {letter tuple: multiplicity} dict into a FormalSum."""
     total = FormalSum.zero()

@@ -2,6 +2,7 @@
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -503,6 +504,50 @@ def test_json_survives_signals_while_stdout_blocks():
     out, _ = child.communicate(timeout=120)
     assert child.returncode == 0
     assert hashlib.sha256(out).hexdigest() == PINNED_STDOUT[argv]
+
+
+class _File(io.RawIOBase):
+    """A file that keeps the bytes written to it."""
+
+    def __init__(self):
+        self.data = bytearray()
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.data += b
+        return len(b)
+
+
+class _Stdout(io.TextIOWrapper):
+    """A text stdout that records the length of each write."""
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_a_buffered_stdout_takes_whole_pieces_and_gets_the_same_bytes(monkeypatch):
+    # The text layer straight on the file, as `python -u` sets stdout up,
+    # then with a buffered binary layer between them, as without it.
+    argv = ("verify", "sum-formula", "--k", "9", "--json")
+    written = []
+    for buffered in (False, True):
+        file = _File()
+        stdout = _Stdout(io.BufferedWriter(file) if buffered else file, "ascii",
+                         write_through=not buffered)
+        stdout.sizes = []
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.run(list(argv)) == 0
+        stdout.flush()
+        monkeypatch.undo()
+        written.append((bytes(file.data), stdout.sizes))
+    (sliced, slices), (whole, pieces) = written
+    assert hashlib.sha256(sliced).hexdigest() == PINNED_STDOUT[argv]
+    assert whole == sliced
+    assert max(slices) == 512 and sum(slices) == len(sliced)
+    assert len(pieces) < len(slices) and max(pieces) > 512
 
 
 def test_a_closed_stdout_exits_141_without_a_traceback():

@@ -26,6 +26,7 @@ from izeta.identities import (
 from izeta.interpolate import _s_t_lists, d_dt, s_alpha, s_t
 
 from helpers import (
+    by_word,
     compositions,
     merge_bitmask_contractions,
     split_bitmask_words,
@@ -174,7 +175,7 @@ def test_s_t_of_the_split_and_raised_words_of_a_periodic_word(letters):
             for _, sigma, blocks in merge_bitmask_contractions(v):
                 acc = expected.setdefault(blocks, {})
                 acc[sigma] = acc.get(sigma, 0) + 1
-        got = next(_s_t_lists([list(named)]))
+        got = by_word(next(_s_t_lists([list(named)])))
         assert {tuple(u): {e: c for e, c in p.items() if c} for u, p in got.items()} == expected
 
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from izeta import reduction
 from izeta.algebra import FormalSum, T, Word
-from izeta.identities import sum_formula_sides, sum_poly, sum_words
-from izeta.interpolate import s_t, taylor_shift
+from izeta.identities import formal_sides, sum_formula_sides, sum_poly, sum_words
+from izeta.interpolate import _taylor_parts, s_t, taylor_shift
 from izeta.reduction import (
     RelationCertificate,
     SpanSolver,
@@ -23,6 +23,7 @@ from izeta.reduction import (
 )
 
 from helpers import (
+    by_word,
     compositions,
     cyclic_merges,
     cyclic_relation_parts,
@@ -224,6 +225,41 @@ def test_sum_formula_certificate_targets_follow_the_closed_form_at_negative_alph
         assert cert.target.is_t_free(), cert.label
         assert found == expected[n][power], cert.label
         assert cert.success and cert.verify(), cert.label
+
+
+@pytest.mark.parametrize("k", range(2, 12))
+def test_sum_formula_certificate_targets_follow_the_closed_form_at_alpha_zero(k):
+    # At alpha = 0 the parts are the left side's own dicts, with the right
+    # side subtracted in place: the oracle reads neither.
+    certs = verify_sf_reduction(k)
+    assert len(certs) == k * (k - 1) // 2
+    expected = {n: sum_formula_relation_parts(k, n, 0) for n in range(1, k)}
+    for cert in certs:
+        n, power = (int(part.split("=")[1]) for part in cert.label.split()[2:])
+        found = {tuple(u): p.constant() for u, p in cert.target.terms.items()}
+        assert cert.target.is_t_free(), cert.label
+        assert found == expected[n][power], cert.label
+        assert cert.success and cert.verify(), cert.label
+
+
+@pytest.mark.parametrize(
+    "suite, k", [("cyclic", k) for k in range(2, 7)] + [("sum-formula", k) for k in range(2, 10)]
+)
+def test_parts_taken_in_place_change_no_formal_side_and_no_stored_dict(suite, k):
+    relations = {"cyclic": reduction.cyclic_relations, "sum-formula": reduction.sum_formula_relations}
+    fresh = {key: sides for _, sides, _, key in relations[suite](k) if sides is not None}
+    for _, sides, powers, key in relations[suite](k):
+        if sides is None:
+            continue
+        formal = formal_sides(sides)
+        _taylor_parts(sides, 0, powers)  # uses up the left side's dicts
+        assert formal == formal_sides(fresh[key])
+        for e in (*formal, formal[0] - formal[1]):
+            stored = {id(c): (c, dict(c)) for c in e._graded.values()}
+            for alpha in (0, Fraction(1, 2), Fraction(-2, 3)):
+                taylor_shift(e, alpha)
+            assert all(c == before for c, before in stored.values())
+            assert all(stored[id(c)][0] is c for c in e._graded.values())
 
 
 def _cyclic_label(cert):
@@ -489,11 +525,11 @@ def test_relation_streams_carry_graded_sides_at_each_keys_first_relation():
     carried = [(label, sides, powers) for label, sides, powers, _ in relations if sides is not None]
     assert len(carried) == 34
     assert [label for label, _, _ in carried] == list(first.values())
-    assert all(_is_graded(side, powers) for _, sides, powers in carried for side in sides)
+    assert all(_is_graded(by_word(side), powers) for _, sides, powers in carried for side in sides)
     relations = list(reduction.sum_formula_relations(11))
     assert [key for *_, key in relations] == list(range(1, 11))
     assert all(
-        len(sides) == 2 and all(_is_graded(side, powers) for side in sides)
+        len(sides) == 2 and all(_is_graded(by_word(side), powers) for side in sides)
         for _, sides, powers, _ in relations
     )
 
@@ -575,7 +611,7 @@ def test_cyclic_sides_split_back_exactly_from_batches_of_classes(monkeypatch, pe
         ]
         for _, sides, _, key in whole:
             if sides is not None:
-                assert tuple(map(_plain, sides)) == _cyclic_oracle(tuple(key))
+                assert tuple(_plain(by_word(side)) for side in sides) == _cyclic_oracle(tuple(key))
         # two classes of one chunk naming one word: only the offsets keep
         # that word's two images apart
         coincide |= any(
@@ -600,7 +636,7 @@ def test_sum_formula_sides_split_back_exactly_from_batches_of_depths(monkeypatch
             sides for _, sides, _, _ in whole
         ]
         for _, sides, _, n in whole:
-            assert tuple(map(_plain, sides)) == _sum_formula_oracle(k, n)
+            assert tuple(_plain(by_word(side)) for side in sides) == _sum_formula_oracle(k, n)
             # the public form, a batch of one
             assert tuple(
                 _plain({u: p.coeffs for u, p in e.items()}) for e in sum_formula_sides(k, n)
