@@ -170,30 +170,27 @@ def _cmd_verify_reduction(args):
     identity at t; exit 1 if a certificate or a numeric check fails."""
     # reject a bad --t or --k before any work, in that order
     t = _fraction(args.t)
-    relations = args.relations(args.k)
+    labelled, sides = args.relations(args.k)
     # Each identity's sides are built once, split by degree, from the one
-    # run of S^t that every identity of the suite shares, and carried by
-    # its key's first relation; no side outlives its Taylor shift, which
-    # uses it up.  Under --numeric each key's sides
-    # are evaluated as they pass and handed on unchanged;
-    # `certify_relations` reads the stream whole before it solves, so a
-    # bad --M is rejected before any solve.
-    reports = []
+    # run of S^t that every identity of the suite shares, and no side
+    # outlives its Taylor shift, which uses it up.  Under --numeric each
+    # key's sides are evaluated once as they pass and handed on
+    # unchanged, and `map` keeps no entry once it is handed on;
+    # `certify_relations` reads them all before it solves, so a bad --M
+    # is rejected before any solve.
+    numeric = {}  # key -> its report
 
-    def evaluated(relations):
-        by_key = {}
-        for label, sides, powers, key in relations:
-            if key not in by_key:
-                by_key[key] = verify_identity(*formal_sides(sides), [t], args.M)
-            reports.append((label, by_key[key]))
-            yield label, sides, powers, key
-            del sides  # so that they go once the certifier is done with them
+    def evaluated(entry):
+        key, pair = entry
+        numeric[key] = verify_identity(*formal_sides(pair), [t], args.M)
+        return entry
 
     if args.numeric:
-        relations = evaluated(relations)
-    certs = certify_relations(args.suite, relations, 0)
+        sides = map(evaluated, sides)
+    certs = certify_relations(args.suite, (labelled, sides), 0)
     oks = verify_certificates(certs)
     ok = all(oks)
+    reports = [(label, numeric[key]) for label, key in labelled] if args.numeric else []
     if args.json:
         doc = {"suite": args.suite, "ok": ok}
         if reports:

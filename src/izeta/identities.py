@@ -51,8 +51,7 @@ def sum_words(k, n):
     """Sum of all admissible words of weight k and depth n (coefficient 1
     each); there are C(k-2, n-1) of them.  Enumerated in colexicographic
     order of the exponent tuples."""
-    if n < 1 or k <= n:
-        raise ValueError(f"empty family: weight {k}, depth {n}")
+    _check_depth(k, n)
     return FormalSum(dict.fromkeys(_sum_families(k)[n], RatPoly(1)))
 
 
@@ -68,10 +67,15 @@ def _sum_families(k):
     return families
 
 
-def _sum_poly_coeffs(k, n):
-    """{j: C(k-n+j-1, j) for j < n}, the t^j coefficients of `sum_poly`."""
+def _check_depth(k, n):
+    """The sum formula's families are empty outside 1 <= n < k."""
     if n < 1 or k <= n:
         raise ValueError(f"empty family: weight {k}, depth {n}")
+
+
+def _sum_poly_coeffs(k, n):
+    """{j: C(k-n+j-1, j) for j < n}, the t^j coefficients of `sum_poly`."""
+    _check_depth(k, n)
     return {j: comb(k - n + j - 1, j) for j in range(n)}
 
 
@@ -98,12 +102,13 @@ def _sum_formula_batch(k, depths):
     """`sum_formula_sides(k, n)` split by degree, n dicts {word: int}
     each, for each depth n of `depths` in turn, the S^t sides of all of
     them from one run of the recursion: the right side is z_k with
-    C(k-n+j-1, j) at degree j.  Every depth is checked, by its right
-    side, before any family is read."""
-    rhs = [[{(k,): c} for c in _sum_poly_coeffs(k, n).values()] for n in depths]
+    C(k-n+j-1, j) at degree j, built as its depth is yielded.  Every
+    depth is checked before any family is read."""
+    for n in depths:
+        _check_depth(k, n)
     images = _s_t_lists([_sum_families(k)[n] for n in depths])
-    for side in rhs:
-        yield next(images), side
+    for n in depths:
+        yield next(images), [{(k,): c} for c in _sum_poly_coeffs(k, n).values()]
 
 
 def sum_formula_sides(k, n):

@@ -266,22 +266,22 @@ def d_dt(e):
     return as_sum(e).map_coefficients(lambda p: p.derivative())
 
 
-def _taylor_parts(sides, alpha, powers):
-    """The (t - alpha)^m parts, m < `powers`, of lhs - rhs for `sides`
-    (lhs, rhs), or of lhs for (lhs,): each side split by degree, one
-    {word: int} with no zero per degree of t, lhs in `powers` dicts and
-    rhs in at most that many.  Each part is (den, {word: int}) with no
-    zero, the part being that over den.  At alpha = 0 the parts are
-    P_0, ..., P_d, d = powers - 1, the split of lhs - rhs: lhs's own
-    dicts, with rhs subtracted in place, so lhs is used up.  Any other
+def _taylor_parts(sides, alpha):
+    """The (t - alpha)^m parts, one per dict of lhs, of lhs - rhs for
+    `sides` (lhs, rhs), or of lhs for (lhs,): each side split by degree,
+    one {word: int} with no zero per degree of t, rhs in at most as many
+    dicts as lhs.  Each part is (den, {word: int}) with no zero, the part
+    being that over den.  At alpha = 0 the parts are P_0, ..., P_d,
+    d = len(lhs) - 1, the split of lhs - rhs: lhs's own dicts, with rhs
+    subtracted in place, so lhs is used up.  Any other
     alpha = p/q copies the split, scaled, and re-expands it by Horner's
     rule in integers: the parts R_j = q^(d-j) P_j of q^d e(t/q) are
     shifted to the integer p, for i < d, and j from d - 1 down to i,
     R_j += p R_(j+1), and part m is R_m over q^(d-m).  So R_m is
     sum_j C(j, m) p^(j-m) q^(d-j+m) P_j, with integer factors."""
-    p, q, d = alpha.numerator, alpha.denominator, powers - 1
-    scales = [q ** (d - j) for j in range(powers)]
     lhs = sides[0]
+    p, q, d = alpha.numerator, alpha.denominator, len(lhs) - 1
+    scales = [q ** (d - j) for j in range(d + 1)]
     parts = [{w: s * x for w, x in part.items()} for s, part in zip(scales, lhs)] if p else lhs
     for side in sides[1:]:
         for j, part in enumerate(side):
@@ -301,7 +301,8 @@ def taylor_shift(e, alpha):
     Returns the t-free formal sums a_0, ..., a_d, d the largest degree
     in t of a coefficient of e (just a_0 = 0 for e = 0), with
     a_k = (d/dt)^k e |_{t=alpha} / k!: the parts of `_taylor_parts` of
-    e's stored integers, split by degree, over e's denominator.
+    e's stored integers, split into one dict per degree 0, ..., d, over
+    e's denominator.
     """
     alpha = _as_exact(alpha)
     e = as_sum(e)
@@ -309,7 +310,7 @@ def taylor_shift(e, alpha):
     for w, c in e._graded.items():
         for deg, x in c.items():
             split[deg][w] = x
-    parts = _taylor_parts([split], alpha, len(split))
+    parts = _taylor_parts([split], alpha)
     return [_t_free_sum(den * e._den, vec) for den, vec in parts]
 
 

@@ -16,7 +16,7 @@ generators and nonzero coefficients.  A failed membership is a value
 exactly which component fell outside the span.
 
 `certify_relations` stays in integers from the identities to the
-solver: it takes each relation's sides only in the form that
+solver: it takes each identity's sides only in the form that
 `identities` states them in, each side split by degree, one {word: int}
 per degree of t.  `interpolate._taylor_parts` subtracts them degree by
 degree, in place in the left side's dicts at alpha = 0, and at
@@ -39,17 +39,17 @@ certificate a part of its own.
 Each relation carries a key for the identity it states: the depth n in
 the sum formula, and in the cyclic suite the least rotation of the word,
 since the cyclic sum formula sums over all rotations.  The relation
-builders yield sides split by degree only, each built once and carried
-by its key's first relation, and not kept: the later relations of a key
-carry None, since every consumer reads sides only at a new key.  The
-sides of every key come from one run of S^t over all of them
-(`identities._cyclic_batch`, `_sum_formula_batch`), and each key's sides
-are handed on as it is reached and let go once used.  Relations
-with one key are shifted and solved once: their certificates keep their
-own labels but share one part per power, and so one target and one
-coefficient-list object each, and every certificate of one call shares
-one generator list.  The verifier and the JSON records do each shared
-object's work once.
+builders return (labelled, sides): `labelled` lists (label, key) for
+each relation, and `sides` yields (key, (lhs, rhs)) once per key, in
+the order of each key's first label, split by degree.  The sides of
+every key come from one run of S^t over all of them
+(`identities._cyclic_batch`, `_sum_formula_batch`); each key's pair is
+split off that run as it is reached and let go before the next is
+built.  Each key is shifted and solved once: the certificates of its
+relations keep their own labels but share one part per power, and so
+one target and one coefficient-list object each, and every certificate
+of one call shares one generator list.  The verifier and the JSON
+records do each shared object's work once.
 """
 
 from fractions import Fraction
@@ -94,15 +94,16 @@ class _Part:
     The target is the integers (den, {word: int}) it was solved from,
     with no zero and each word a Word or a plain tuple, as
     `_taylor_parts` gives them; or an object: a formal sum built from
-    them, a generator, or the target a certificate was given.  The coefficients are the solver's nonzero
-    ones {generator index: Fraction} with the number of generators, or
-    None outside the span; or the list (or None) a certificate was
-    given.  A solved part is shared by the certificates of one relation
-    key and power; its target sum and coefficient list are built on
-    first read and kept, and the built sum then stores the integers,
-    reduced, in their place.  A list, given or built, is never cached
-    as nonzeros: it is read anew at each verify and each record, so an
-    edit made in place shows in both."""
+    them, a generator, or the target a certificate was given.  The
+    coefficients are the solver's nonzero ones {generator index:
+    Fraction} with the number of generators, or None outside the span;
+    or the list (or None) a certificate was given.  A solved part is
+    shared by the certificates of one relation key and power; its target
+    sum and coefficient list are built on first read and kept, and the
+    built sum then stores the integers, reduced, in their place.  A
+    list, given or built, is never cached as nonzeros: it is read anew
+    at each verify and each record, so an edit made in place shows in
+    both."""
 
     __slots__ = ("den", "vec", "nonzero", "size", "_target", "_coefficients")
 
@@ -334,13 +335,13 @@ def verify_certificates(certs):
     gives the target's integers and the nonzero coefficients as solved,
     with no formal sum or coefficient list built; a list, given or built
     since, is read as it is now.  A failed certificate, or a coefficient
-    list of the wrong length, fails; an inexact coefficient, zero or not, raises
-    TypeError, and a target that carries t raises ValueError.  A used
-    generator that carries t raises ValueError too.  Each generator is
-    converted to integers once however many certificates share it (as
-    all certificates from one `certify_relations` call share their
-    generator list), and each distinct (part, generator list) pair is
-    verified once."""
+    list of the wrong length, fails; an inexact coefficient, zero or
+    not, raises TypeError, and a target that carries t raises
+    ValueError.  A used generator that carries t raises ValueError too.
+    Each generator is converted to integers once however many
+    certificates share it (as all certificates from one
+    `certify_relations` call share their generator list), and each
+    distinct (part, generator list) pair is verified once."""
     forms = {}  # id of a generator or target -> integer form
     verdicts = {}  # (id of a part, id of a generator list) -> verdict
     oks = []
@@ -397,15 +398,15 @@ def certify_relations(suite, relations, alpha):
     """Certify, power by power in (t - alpha), that each Taylor coefficient
     of each relation lies in the span of the relations evaluated at t = alpha.
 
-    `relations` yields (label, (lhs, rhs), number of powers, key) tuples,
-    where relations with one key state one identity, and lhs and rhs are
-    split by degree, one {word: int} per degree of t, lhs in as many
-    dicts as there are powers.  The sides are read only at a key's first
-    relation, so the later ones may carry None, as in `cyclic_relations`,
-    and are used up: at alpha = 0 the Taylor coefficients are lhs's own
-    dicts.  `relations` is read to the end before the solver is built,
-    so whatever a caller does as it yields them, such as the CLI's
-    numeric checks, comes before any solve.  The Taylor coefficients of
+    `relations` is a pair (labelled, sides), as `sum_formula_relations`
+    and `cyclic_relations` return it: `labelled` lists (label, key) for
+    each relation, where relations with one key state one identity, and
+    `sides` yields (key, (lhs, rhs)) once per key, lhs and rhs split by
+    degree, one {word: int} per degree of t, lhs in one dict per power.
+    The sides are used up: at alpha = 0 the Taylor coefficients are lhs's
+    own dicts.  `sides` is read to the end before the solver is built, so
+    whatever a caller does as it yields them, such as the CLI's numeric
+    checks, comes before any solve.  The Taylor coefficients of
     lhs - rhs, one per power, are taken in integers and solved once per
     key, and only they are kept, with the nonzero coefficients, never the
     sides.  There is one certificate per relation and power, with its own
@@ -414,13 +415,11 @@ def certify_relations(suite, relations, alpha):
     The generators, one list that every certificate shares, are each
     relation's coefficient of (t - alpha)^0, in order."""
     alpha = _as_exact(alpha)
+    labelled, sides = relations
     parts_of = {}  # key -> integer Taylor coefficients
-    labelled = []
-    for label, sides, powers, key in relations:
-        if key not in parts_of:
-            parts_of[key] = _taylor_parts(sides, alpha, powers)
-        labelled.append((f"{suite} {label}", key))
-        del sides  # what the parts do not keep goes before the next is read
+    for key, pair in sides:
+        parts_of[key] = _taylor_parts(pair, alpha)
+        del pair  # what the parts do not keep goes before the next is built
     firsts = {key: _t_free_sum(*parts[0]) for key, parts in parts_of.items()}
     gens = [firsts[key] for _, key in labelled]
     solver = SpanSolver(gens, [parts_of[key][0] for _, key in labelled])
@@ -434,7 +433,7 @@ def certify_relations(suite, relations, alpha):
             for nonzero, (den, vec) in zip(nonzeros[1:], parts[1:])
         ]
     return [
-        RelationCertificate._solved(part, gens, f"{label} power={power}")
+        RelationCertificate._solved(part, gens, f"{suite} {label} power={power}")
         for label, key in labelled
         for power, part in enumerate(solved[key])
     ]
@@ -447,34 +446,28 @@ def _check_weight(k):
 
 def sum_formula_relations(k):
     """The weight-k sum formula, one relation per depth n < k, as
-    (label, (lhs, rhs), number of powers of t - alpha, key): the sides are
-    split by degree, n dicts {word: int} each, one per degree in t, and
-    the key is n, so no two relations share one.  The weight is checked at
-    once; the sides of every depth come from one run of S^t, each split
-    off as it is reached."""
+    (labelled, sides) for `certify_relations`: the key of each label is
+    n, so no two relations share one, and the sides of depth n are split
+    by degree, n dicts {word: int} each, one per degree in t.  The weight
+    is checked at once; the sides of every depth come from one run of
+    S^t, each split off as it is reached."""
     _check_weight(k)
-    sides = _sum_formula_batch(k, range(1, k))
-    return ((f"k={k} n={n}", next(sides), n, n) for n in range(1, k))
+    batch = _sum_formula_batch(k, range(1, k))
+    return [(f"k={k} n={n}", n) for n in range(1, k)], ((n, next(batch)) for n in range(1, k))
 
 
 def cyclic_relations(k):
     """The weight-k cyclic sum formula, one relation per word w of weight
-    k and depth below k, as in `sum_formula_relations`: the sides hold
-    one dict per degree in t up to the depth of w.  Both sides sum over the rotations of w, so
-    the key is w's least rotation.  The first word of a rotation class
-    carries that class's sides, split off one run of S^t over every class
-    as it is reached; the other words of the class carry None, so no sides
-    are kept here once yielded.  The weight is checked at once."""
+    k and depth below k, as (labelled, sides) in `sum_formula_relations`.
+    Both sides sum over the rotations of w, so the key is w's least
+    rotation, and the sides of a key are those of that word: one dict per
+    degree in t up to the depth of w, split off one run of S^t over every
+    key as each is reached.  The weight is checked at once."""
     _check_weight(k)
-    keys = {w: min(_rotations(w)) for w in words_of_weight(k) if w.depth < k}
-    firsts = {}  # key -> the first word of its class
-    for w, key in keys.items():
-        firsts.setdefault(key, w)
-    sides = _cyclic_batch(list(firsts.values()))
-    return (
-        (f"k={k} word={w}", next(sides) if firsts[key] is w else None, w.depth + 1, key)
-        for w, key in keys.items()
-    )
+    labelled = [(f"k={k} word={w}", min(_rotations(w))) for w in words_of_weight(k) if w.depth < k]
+    keys = dict.fromkeys(key for _, key in labelled)
+    batch = _cyclic_batch([Word(key) for key in keys])
+    return labelled, ((key, next(batch)) for key in keys)
 
 
 def verify_sf_reduction(k, alpha=0):

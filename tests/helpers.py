@@ -7,6 +7,7 @@ machinery cannot hide inside its own oracle.
 
 import json
 import re
+import weakref
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -169,6 +170,37 @@ def by_word(side):
         for u, x in part.items():
             out.setdefault(u, {})[deg] = x
     return out
+
+
+class _WatchedSide(list):
+    """A left side that a weak reference can watch."""
+
+
+def watch_left_sides(monkeypatch, reduction):
+    """Spy on the two batch builders that the module `reduction` reads:
+    each pair's left side is handed out as a copy of its list that a weak
+    reference watches, and before the spy builds each next pair it
+    asserts that every left side handed out so far is gone.  Returns the
+    weak references, one per pair handed out."""
+    refs = []
+
+    def handed(lhs, rhs):
+        side = _WatchedSide(lhs)
+        refs.append(weakref.ref(side))
+        return side, rhs
+
+    def watched(pairs):
+        while True:
+            assert all(ref() is None for ref in refs), "an earlier left side is still alive"
+            pair = next(pairs, None)
+            if pair is None:
+                return
+            yield handed(*pair)
+
+    for name in ("_sum_formula_batch", "_cyclic_batch"):
+        build = getattr(reduction, name)
+        monkeypatch.setattr(reduction, name, lambda *args, build=build: watched(build(*args)))
+    return refs
 
 
 def dict_to_sum(d):

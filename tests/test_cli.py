@@ -23,7 +23,12 @@ from izeta.interpolate import s_t
 from izeta.numeric import eval_element, mzsv
 from izeta.reduction import RelationCertificate
 
-from helpers import compositions, parse_printed_sum, printed_certificates_hold
+from helpers import (
+    compositions,
+    parse_printed_sum,
+    printed_certificates_hold,
+    watch_left_sides,
+)
 
 
 def w(*letters):
@@ -474,6 +479,18 @@ def test_numeric_checks_each_identity_as_the_certifier_reads_it(
     ]
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("suite, k, keys", [("sum-formula", "9", 8), ("cyclic", "7", 18)])
+def test_numeric_lets_each_keys_sides_go_before_the_next_are_built(
+    capsys, monkeypatch, suite, k, keys, json_flag
+):
+    refs = watch_left_sides(monkeypatch, reduction)
+    code, out, _ = run_lines(capsys, ["verify", suite, "--k", k, "--numeric", *json_flag])
+    # one left side per key, and none outlives the command
+    assert code == 0 and out
+    assert len(refs) == keys and all(ref() is None for ref in refs)
+
+
 _CLI_UNDER_SIGNALS = """
 import signal, sys
 from izeta import cli
@@ -619,8 +636,7 @@ def _streamed_and_dumped(capsys, monkeypatch, argv, tamper=None):
     certify, evaluate = cli.certify_relations, cli.verify_identity
 
     def certified(suite, relations, alpha):
-        relations = list(relations)
-        seen["keys"] = [(label, key) for label, _, _, key in relations]
+        seen["keys"], _ = relations
         certs = seen["certs"] = certify(suite, relations, alpha)
         if tamper is not None:
             tamper(certs)
@@ -769,6 +785,17 @@ def test_recursion_past_the_limit_exits_two_without_a_traceback(capsys, argv):
     assert code == 2 and not captured.out
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: maximum recursion depth")
+
+
+def test_the_sum_formula_past_the_recursion_limit_builds_no_right_side(capsys, monkeypatch):
+    calls = []
+    coeffs = identities._sum_poly_coeffs
+    monkeypatch.setattr(
+        identities, "_sum_poly_coeffs", lambda *args: calls.append(args) or coeffs(*args)
+    )
+    code, out, err = run_lines(capsys, ["verify", "sum-formula", "--k", "1100"])
+    assert code == 2 and not out
+    assert err.startswith("error: maximum recursion depth") and calls == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+import izeta.identities as identities
 from izeta.algebra import FormalSum, Index, RatPoly, T, Word, harmonic_product
 from izeta.identities import (
     _raised,
@@ -317,3 +318,29 @@ def test_identity_builders_refuse_empty_or_negative_input(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert type(info.value) is ValueError and str(info.value) == message
+
+
+def test_the_sum_formula_builds_each_right_side_as_its_depth_is_yielded(monkeypatch):
+    calls = []
+    coeffs = identities._sum_poly_coeffs
+    monkeypatch.setattr(
+        identities, "_sum_poly_coeffs", lambda k, n: calls.append(n) or coeffs(k, n)
+    )
+    batch = identities._sum_formula_batch(12, range(1, 12))
+    _, rhs = next(batch)
+    assert calls == [1] and rhs == [{(12,): 1}]
+    _, rhs = next(batch)
+    assert calls == [1, 2] and rhs == [{(12,): 1}, {(12,): comb(10, 1)}]
+
+
+@pytest.mark.parametrize("depths, bad", [([0], 0), ([12], 12), ([3, 12, 5], 12), ([3, 0, 13], 0)])
+def test_a_sum_formula_batch_naming_an_empty_family_raises_before_s_t_runs(
+    monkeypatch, depths, bad
+):
+    def run(*args):
+        raise AssertionError("S^t ran")
+
+    monkeypatch.setattr(identities, "_s_t_lists", run)
+    with pytest.raises(ValueError) as info:
+        next(identities._sum_formula_batch(12, depths))
+    assert str(info.value) == f"empty family: weight 12, depth {bad}"

@@ -39,7 +39,6 @@ from izeta.numeric import eval_element, mzsv
 
 from helpers import (
     assert_normal_form,
-    by_word,
     dictpoly_to_sum,
     interpolation_by_recursion,
     merge_bitmask_contractions,
@@ -675,8 +674,6 @@ def test_s_t_of_one_word_stores_one_dict_per_sigma_that_nothing_changes(n):
         s_alpha(e, alpha), substitute_t(e, alpha), taylor_shift(e, alpha)
     # the sum formula's depth-n side is S^t of the same word
     sides = next(_sum_formula_batch(n + 1, [n]))
-    _taylor_parts(
-        sides, Fraction(-2, 7), 1 + max(max(c) for side in sides for c in by_word(side).values())
-    )
+    _taylor_parts(sides, Fraction(-2, 7))
     assert {i: dict(c) for i, c in dicts.items()} == snapshot
     assert all(dicts[id(c)] is c for c in e._graded.values())

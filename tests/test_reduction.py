@@ -29,6 +29,7 @@ from helpers import (
     cyclic_relation_parts,
     interpolation_by_recursion,
     sum_formula_relation_parts,
+    watch_left_sides,
     words_up_to_weight,
 )
 
@@ -247,12 +248,10 @@ def test_sum_formula_certificate_targets_follow_the_closed_form_at_alpha_zero(k)
 )
 def test_parts_taken_in_place_change_no_formal_side_and_no_stored_dict(suite, k):
     relations = {"cyclic": reduction.cyclic_relations, "sum-formula": reduction.sum_formula_relations}
-    fresh = {key: sides for _, sides, _, key in relations[suite](k) if sides is not None}
-    for _, sides, powers, key in relations[suite](k):
-        if sides is None:
-            continue
+    fresh = dict(relations[suite](k)[1])
+    for key, sides in relations[suite](k)[1]:
         formal = formal_sides(sides)
-        _taylor_parts(sides, 0, powers)  # uses up the left side's dicts
+        _taylor_parts(sides, 0)  # uses up the left side's dicts
         assert formal == formal_sides(fresh[key])
         for e in (*formal, formal[0] - formal[1]):
             stored = {id(c): (c, dict(c)) for c in e._graded.values()}
@@ -490,9 +489,10 @@ def test_certify_relations_reads_every_relation_before_it_solves(monkeypatch):
     # callers may work as the relations stream past (the CLI's numeric
     # checks) and rely on that work preceding any solve
     read = []
+    labelled, sides = reduction.sum_formula_relations(6)
 
     def relations():
-        for relation in reduction.sum_formula_relations(6):
+        for relation in sides:
             read.append(relation[0])
             yield relation
         read.append("end")
@@ -502,8 +502,21 @@ def test_certify_relations_reads_every_relation_before_it_solves(monkeypatch):
         return SpanSolver(*args)
 
     monkeypatch.setattr(reduction, "SpanSolver", solver)
-    certs = reduction.certify_relations("sum-formula", relations(), 0)
+    certs = reduction.certify_relations("sum-formula", (labelled, relations()), 0)
     assert len(certs) == 15 and all(verify_certificates(certs))
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(1, 2)])
+@pytest.mark.parametrize("suite, k, keys", [("sum-formula", 9, 8), ("cyclic", 7, 18)])
+def test_certify_relations_lets_each_keys_sides_go_before_the_next_are_built(
+    monkeypatch, suite, k, keys, alpha
+):
+    refs = watch_left_sides(monkeypatch, reduction)
+    verify = {"sum-formula": verify_sf_reduction, "cyclic": verify_csf_reduction}[suite]
+    certs = verify(k, alpha)
+    # one left side per key, and none outlives the call
+    assert len(refs) == keys and all(ref() is None for ref in refs)
+    assert all(verify_certificates(certs))
 
 
 def _is_graded(side, powers):
@@ -517,20 +530,20 @@ def _is_graded(side, powers):
 
 
 def test_relation_streams_carry_graded_sides_at_each_keys_first_relation():
-    relations = list(reduction.cyclic_relations(8))
-    assert len(relations) == 127
+    labelled, stream = reduction.cyclic_relations(8)
+    assert len(labelled) == 127
     first = {}  # key -> label of its first relation, in stream order
-    for label, _, _, key in relations:
+    for label, key in labelled:
         first.setdefault(key, label)
-    carried = [(label, sides, powers) for label, sides, powers, _ in relations if sides is not None]
+    carried = [(first[key], sides, len(key) + 1) for key, sides in stream]
     assert len(carried) == 34
     assert [label for label, _, _ in carried] == list(first.values())
     assert all(_is_graded(by_word(side), powers) for _, sides, powers in carried for side in sides)
-    relations = list(reduction.sum_formula_relations(11))
-    assert [key for *_, key in relations] == list(range(1, 11))
+    labelled, stream = reduction.sum_formula_relations(11)
+    assert [key for _, key in labelled] == list(range(1, 11))
     assert all(
         len(sides) == 2 and all(_is_graded(by_word(side), powers) for side in sides)
-        for _, sides, powers, _ in relations
+        for powers, sides in stream
     )
 
 
@@ -598,20 +611,19 @@ def test_cyclic_sides_split_back_exactly_from_batches_of_classes(monkeypatch, pe
     for k in range(2, 9):
         batches = []
         _spy_batches(monkeypatch, "_cyclic_batch", batches)
-        whole = list(reduction.cyclic_relations(k))
+        whole = list(reduction.cyclic_relations(k)[1])
         monkeypatch.undo()
         # one run over every class, in stream order
-        classes = [key for _, sides, _, key in whole if sides is not None]
+        classes = [key for key, _ in whole]
         [batch] = batches
         assert [min(v[i:] + v[:i] for i in range(len(v))) for v in batch] == classes
         # the same sides from consecutive chunks of per_batch classes
         chunks = _chunks(batch, per_batch)
         assert [sides for chunk in chunks for sides in reduction._cyclic_batch(chunk)] == [
-            sides for _, sides, _, _ in whole if sides is not None
+            sides for _, sides in whole
         ]
-        for _, sides, _, key in whole:
-            if sides is not None:
-                assert tuple(_plain(by_word(side)) for side in sides) == _cyclic_oracle(tuple(key))
+        for key, sides in whole:
+            assert tuple(_plain(by_word(side)) for side in sides) == _cyclic_oracle(tuple(key))
         # two classes of one chunk naming one word: only the offsets keep
         # that word's two images apart
         coincide |= any(
@@ -626,16 +638,16 @@ def test_sum_formula_sides_split_back_exactly_from_batches_of_depths(monkeypatch
     for k in range(2, 12):
         batches = []
         _spy_batches(monkeypatch, "_sum_formula_batch", batches)
-        whole = list(reduction.sum_formula_relations(k))
+        whole = list(reduction.sum_formula_relations(k)[1])
         monkeypatch.undo()
         # one run over every depth, in stream order
         assert batches == [list(range(1, k))]
         # the same sides from consecutive chunks of per_batch depths
         chunks = _chunks(list(range(1, k)), per_batch)
         assert [sides for chunk in chunks for sides in reduction._sum_formula_batch(k, chunk)] == [
-            sides for _, sides, _, _ in whole
+            sides for _, sides in whole
         ]
-        for _, sides, _, n in whole:
+        for n, sides in whole:
             assert tuple(_plain(by_word(side)) for side in sides) == _sum_formula_oracle(k, n)
             # the public form, a batch of one
             assert tuple(
