@@ -195,6 +195,7 @@ def watch_left_sides(monkeypatch, reduction):
             pair = next(pairs, None)
             if pair is None:
                 return
+            # made in a call, so this frame holds no left side while it waits
             yield handed(*pair)
 
     for name in ("_sum_formula_batch", "_cyclic_batch"):
