@@ -7,10 +7,11 @@ integers split by degree, each side one {word: int} per degree of t, for
 a batch of depths or of cyclic words at a time (`_sum_formula_batch`,
 `_cyclic_batch`): S^t of a sum of words, times (1 - t), plus z_k times
 the interpolation polynomial or k t^n z_(k+1).  The S^t sides of a whole
-batch come from one run of the recursion, emptied straight into each
-identity's dicts by `interpolate._s_t_lists`, and each identity's pair
-is yielded in turn; the reduction certificates read every identity of a
-suite from one batch, in that form, and use its dicts up.
+batch come from one run of the superset-sum transform over boundary
+sets, emptied straight into each identity's dicts by
+`interpolate._s_t_lists`, and each identity's pair is yielded in turn;
+the reduction certificates read every identity of a suite from one
+batch, in that form, and use its dicts up.
 `formal_sides` regroups such a pair by word into the pair of formal sums
 that the numeric checks evaluate, and `sum_formula_sides` and
 `cyclic_sides`, batches of one, are the two identities in that form."""
@@ -101,7 +102,7 @@ def formal_sides(sides):
 def _sum_formula_batch(k, depths):
     """`sum_formula_sides(k, n)` split by degree, n dicts {word: int}
     each, for each depth n of `depths` in turn, the S^t sides of all of
-    them from one run of the recursion: the right side is z_k with
+    them from one run of the transform: the right side is z_k with
     C(k-n+j-1, j) at degree j, built as its depth is yielded.  Every
     depth is checked before any family is read."""
     for n in depths:
@@ -159,7 +160,7 @@ def cyclic_delta(w):
 def _cyclic_batch(words):
     """`cyclic_sides(w)` split by degree, n + 1 dicts {word: int} each
     for w of depth n, for each word w of `words` in turn, the S^t sides
-    of all of them from one run of the recursion."""
+    of all of them from one run of the transform."""
     for w in words:
         if w.depth == 0 or w.weight <= w.depth:
             raise ValueError(f"excluded by n < k: word {w!r}")

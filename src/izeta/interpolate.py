@@ -6,28 +6,39 @@ t^(number of merges).  At t = 0 it is the identity; at t = 1 it sends the
 generating series of strict nested sums to that of non-strict ones.  All
 routines here are Q[t]-linear in their formal-sum argument.
 
-The operator comes from the first-letter recursion
+One word's image comes from the first-letter recursion
 S(a u) = a S(u) + t (a o S(u)), where a o merges the letter a into the
 head of each word (Hoffman, *Quasi-shuffle products*, J. Algebraic
-Combin. 11 (2000)).  One word's image is memoised on the tail u; its
-2^(n-1) words are distinct, and the memo keeps just those words, as
-Words whether it is called with a Word, an Index or a plain tuple: a
+Combin. 11 (2000)), memoised on the tail u (`_s_t_word`).  Its 2^(n-1)
+words are distinct, and the memo keeps just those words, as Words
+whether it is called with a Word, an Index or a plain tuple: a
 contraction u of w carries t^sigma with sigma = len(w) - len(u), its
-number of merges.  `s_t` runs the recursion once on the whole sum:
-terms are grouped by first letter, and a group of two or more terms
-recurses on its tails as one sum, so that equal words merge at every
-level.  The unit's group and a group of one word read the memo and
-shift degrees by sigma.  `s_alpha` multiplies by alpha^sigma in
-integers over one common denominator; `s_poly` multiplies by
-param^sigma, each power computed once per call.
+number of merges.  `s_alpha` multiplies by alpha^sigma in integers
+over one common denominator; `s_poly` multiplies by param^sigma, each
+power computed once per call; both read the memo word by word.
 
-The recursion's graded form {word: {degree: int}} is the form a formal
-sum stores, over its denominator: `s_t` runs the recursion on a sum's
+S^t of a sum of words is the superset-sum ("zeta") transform on the
+Boolean lattice of boundary sets (Yates 1937; Björklund, Husfeldt,
+Kaski and Koivisto, *Fourier meets Möbius: fast subset convolution*,
+STOC 2007).  A word of weight N is its set of boundaries, its partial
+sums below N, and merging adjacent letters keeps a subset of them; so
+the word with boundary set S gets the coefficient of every word of its
+weight with boundary set T containing S, times t^|T∖S|.  One pass
+over the boundaries present, in increasing order, moves the
+coefficients of each word holding the boundary, one degree higher,
+into the word without it.  Each T reaches S exactly once, the elements
+of T∖S removed in increasing order, so S gets t^|T∖S| = t^sigma
+from T.  `_s_t_graded` runs that pass, its work proportional to the
+coefficients moved; `s_t` of a one-word sum reads the memo instead and
+shifts degrees by sigma.
+
+The transform's graded form {word: {degree: int}} is the form a formal
+sum stores, over its denominator: `s_t` runs the transform on a sum's
 stored integers and keeps its denominator.  The image of a one-word sum
 stores one shifted dict per sigma, shared by the words with that sigma,
 so its 2^(n-1) words hold n dicts.  `s_alpha` evaluates each distinct
 (stored dict, word length n) once, at alpha^sigma for sigma < n, from
-one power table (`algebra._at_alpha`).  `_s_t_lists` runs the recursion
+one power table (`algebra._at_alpha`).  `_s_t_lists` runs the transform
 once on many lists of words, each list at its own degree offset, and
 empties the result straight into one {word: int} per list and degree
 of t; the offset rule and its proof are stated there.  That split by
@@ -128,34 +139,42 @@ def _s_t_word(w) -> tuple[Word, ...]:
 def _s_t_graded(items):
     """The operator on the sum of the (word, {degree: coefficient}) pairs
     `items`, as {word: {degree: coefficient}} with zeros kept: the
-    first-letter recursion run on the whole sum, so that equal words merge
-    at every level.  The terms are grouped by first letter.  The unit's
-    group and a group of one word read each word's `_s_t_word` memo
-    whole.  Any other group recurses once on its tails, taken as one sum,
-    then prepends its letter a at the same degree and merges a into the
-    head at degree + 1."""
-    out, groups = {}, {}
+    superset-sum transform over boundary sets of the module docstring.
+    Words may be Words, Indexes or plain tuples; no input dict is changed.
+
+    A word is its own code, its weight and boundaries determining it, so
+    no word is rebuilt from a code.  Each boundary present has a bucket
+    holding, for each word whose letters i and i + 1 meet there, the
+    three items word, i and its coefficients, flat, so that an entry
+    costs three slots and no object of its own.  The buckets are emptied
+    in increasing order of boundary: each entry adds its coefficients,
+    one degree higher, into the word with letters i and i + 1 merged,
+    and a word first made there joins the buckets of its boundaries
+    above.  So the work is one step per coefficient moved, whatever the
+    size of the letters."""
+    out, buckets = {}, {}
     for w, c in items:
-        groups.setdefault(w[:1], []).append((w, c))
-    for head, group in groups.items():
-        if not head or len(group) == 1:
-            for w, c in group:
-                for v in _s_t_word(w):
-                    sigma = len(w) - len(v)
-                    acc = out.setdefault(v, {})
-                    for deg, x in c.items():
-                        acc[deg + sigma] = acc.get(deg + sigma, 0) + x
-            continue
-        for u, c in _s_t_graded([(w[1:], c) for w, c in group]).items():
-            # c belongs to the inner result and is read once more, just
-            # below and unchanged, so a new prepended word may keep it
-            if (acc := out.setdefault(head + u, c)) is not c:
-                for deg, x in c.items():
-                    acc[deg] = acc.get(deg, 0) + x
-            if u:
-                acc = out.setdefault((head[0] + u[0],) + u[1:], {})
-                for deg, x in c.items():
-                    acc[deg + 1] = acc.get(deg + 1, 0) + x
+        if (acc := out.get(w)) is None:
+            out[w] = acc = dict(c)
+            s = 0
+            for i in range(len(w) - 1):
+                s += w[i]
+                buckets.setdefault(s, []).extend((w, i, acc))
+        else:
+            for deg, x in c.items():
+                acc[deg] = acc.get(deg, 0) + x
+    for p in sorted(buckets):
+        entries = iter(buckets.pop(p))
+        for w, i, c in zip(entries, entries, entries):
+            u = w[:i] + (w[i] + w[i + 1],) + w[i + 2 :]
+            if (acc := out.get(u)) is None:
+                out[u] = acc = {}
+                s = p  # u's boundaries above p, after its letters i, i + 1, ...
+                for j in range(i, len(u) - 1):
+                    s += w[j + 1]
+                    buckets[s].extend((u, j, acc))
+            for deg, x in c.items():
+                acc[deg + 1] = acc.get(deg + 1, 0) + x
     return out
 
 
@@ -170,22 +189,25 @@ def _s_t_lists(word_lists):
     list i enters at degree i*K and is read back from degree d as list
     d // K at degree d % K.  Proof: S^t is linear and sends a word w to
     its contractions u with t^sigma, sigma = len(w) - len(u), which is 0
-    for the unit and below len(w) <= K otherwise, and the recursion only
-    adds coefficients met at one degree.  So what list i contributes
-    lands at degree i*K + sigma with 0 <= sigma < L <= K, L the length of
-    its longest word (at least 1), and no two lists meet at one degree.
-    Every input is positive, so no coefficient cancels to zero.
+    for the unit and below len(w) <= K otherwise, and the transform
+    raises a coefficient's degree by its merges only.  So what list i
+    contributes lands at degree i*K + sigma with 0 <= sigma < L <= K, L
+    the length of its longest word (at least 1), and no two lists meet
+    at one degree.  Every input is positive, so no coefficient cancels
+    to zero.
 
-    The recursion's result is emptied straight into the dicts as it is
+    The transform's result is emptied straight into the dicts as it is
     read, so the two copies never both hold the whole batch; each dict
-    is new and the caller's to change."""
+    is new and the caller's to change.  It is read in word order, so
+    each dict already lists its words in the order that the certificate
+    records sort them into."""
     lengths = [max(map(len, words), default=0) or 1 for words in word_lists]
     size = max(lengths, default=1)
     graded = _s_t_graded([(u, {i * size: 1}) for i, words in enumerate(word_lists) for u in words])
     sides = [[{} for _ in range(n)] for n in lengths]
     # degree i*K + s -> the dict of list i at degree s
     where = {i * size + s: part for i, side in enumerate(sides) for s, part in enumerate(side)}
-    for u in list(graded):
+    for u in sorted(graded):
         for deg, x in graded.pop(u).items():
             where[deg][u] = x
     del graded, where  # so that each side goes once its caller lets it go
@@ -213,8 +235,9 @@ def s_poly(e, param):
 def s_t(e):
     """The interpolation operator itself (parameter t): each contraction
     with sigma merges shifts the degrees of its coefficient by sigma.
-    The whole sum runs through one first-letter recursion on its stored
-    integers, over its denominator.  A one-word sum reads the word's memo
+    The whole sum runs through one superset-sum transform over boundary
+    sets (`_s_t_graded`) on its stored integers, over its denominator.
+    A one-word sum reads the word's memo, the first-letter recursion,
     instead, and its words with one sigma share one shifted dict."""
     e = as_sum(e)
     if len(e._graded) == 1:

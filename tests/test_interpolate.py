@@ -22,6 +22,7 @@ from izeta.algebra import (
 from izeta.identities import _sum_formula_batch
 from izeta.interpolate import (
     _s_t_graded,
+    _s_t_lists,
     _s_t_word,
     _taylor_parts,
     d_dt,
@@ -335,8 +336,8 @@ def test_operator_on_every_word_up_to_weight_9_matches_brute_force():
 ALPHAS = [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(-2, 5)]
 
 
-# sums that run through the whole-sum recursion: first letters shared at
-# two and three depths (tails starting alike, so a group recurses),
+# whole sums for the transform over boundary sets: words of one weight
+# whose boundary sets nest at two and three depths, so that images meet,
 # the unit alone and among other words, Fraction coefficients of several
 # degrees, and [2,1] - t[3], whose image is just [2,1]
 WHOLE_SUMS = {
@@ -384,8 +385,8 @@ def test_s_t_of_a_whole_sum_matches_brute_force(name):
     assert as_dicts(got) == brute_s_t(terms)
     if name == "cancelling":
         assert as_dicts(got) == {(2, 1): {0: 1}}
-    # the whole-sum recursion reads the memo on plain tuple tails; the
-    # entries it stored hold Words all the same
+    # the memo entry of every tail of these words holds Words, whichever
+    # call stored it first
     for letters in terms:
         for i in range(len(letters)):
             image = _s_t_word(Word(letters[i:]))
@@ -393,8 +394,8 @@ def test_s_t_of_a_whole_sum_matches_brute_force(name):
 
 
 def test_the_graded_recursion_adds_a_word_named_twice():
-    # the equal tails meet again in one group down to the unit, which
-    # must read the memo rather than recurse on itself
+    # a word named twice is one boundary set, its coefficients added
+    # before the pass; so is the unit, which has no boundary to move
     got = _s_t_graded([((1, 2), {0: 1}), ((1, 2), {0: 1})])
     once = interpolation_by_recursion((1, 2))
     assert {tuple(u): p for u, p in got.items()} == {
@@ -420,8 +421,9 @@ def brute_s_t_of_list(items):
     return {word: p for word, p in out.items() if p}
 
 
-# sums listed term by term: a word named twice reaches the unit's group
-# twice, and tails with distinct second letters recurse as one group
+# sums listed term by term: a word named twice, alone and among words of
+# several weights and the unit, and words of three weights that share the
+# boundary 1, each merged there within its own weight
 LISTED_SUMS = {
     "alone": [((2, 1, 1), {0: 1}), ((2, 1, 1), {0: 1})],
     "among-shared-prefixes": [
@@ -438,6 +440,60 @@ def test_the_graded_recursion_matches_brute_force_on_listed_sums(name):
     items = LISTED_SUMS[name]
     got = {tuple(u): {e: c for e, c in p.items() if c} for u, p in _s_t_graded(items).items()}
     assert {u: p for u, p in got.items() if p} == brute_s_t_of_list(items)
+
+
+@st.composite
+def listed_sum_st(draw):
+    """A list of (letter tuple, {degree: Fraction}) terms over a few words
+    of mixed weights, the unit and letters up to 10**18 among them, each
+    word possibly named more than once, with signed coefficients."""
+    letter = st.one_of(st.integers(1, 3), st.integers(1, 10**18))
+    words = draw(st.lists(st.lists(letter, max_size=5).map(tuple), min_size=1, max_size=4))
+    poly = st.dictionaries(
+        st.integers(0, 3), st.fractions(min_value=-3, max_value=3, max_denominator=5), max_size=3
+    )
+    return draw(st.lists(st.tuples(st.sampled_from(words), poly), max_size=7))
+
+
+@given(listed_sum_st())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_transform_and_s_t_match_brute_force_on_drawn_sums(items):
+    expected = brute_s_t_of_list(items)
+    before = [(letters, dict(poly)) for letters, poly in items]
+    got = {tuple(u): {e: c for e, c in p.items() if c} for u, p in _s_t_graded(items).items()}
+    assert {u: p for u, p in got.items() if p} == expected
+    assert items == before  # no input dict changed
+    whole = FormalSum([(Word(letters), RatPoly(poly)) for letters, poly in items])
+    assert as_dicts(s_t(whole)) == expected
+
+
+def test_s_t_of_words_with_huge_letters_matches_brute_force():
+    # boundaries 1, 10**18 and 10**18 + 1: a code with one bit per unit of
+    # weight could not be built here
+    terms = {(10**18, 1): {0: 1}, (1, 10**18): {0: 1}, (10**18, 1, 1): {0: 1}}
+    got = s_t(dictpoly_to_sum(terms))
+    assert_normal_form(got)
+    assert as_dicts(got) == brute_s_t(terms)
+
+
+def test_s_t_lists_splits_lists_of_mixed_lengths_and_weights_by_degree():
+    word_lists = [
+        [(2, 1, 1), (1, 3), (2, 1, 1), (4,)],
+        [],
+        [(5,), (1, 1)],
+        [(1, 1, 1, 1, 1), (3, 2), (1, 10**18, 1), ()],
+        [()],
+    ]
+    got = list(_s_t_lists(word_lists))
+    assert len(got) == len(word_lists)
+    for words, side in zip(word_lists, got):
+        image = brute_s_t_of_list([(u, {0: 1}) for u in words])
+        expected = [{} for _ in range(max(map(len, words), default=0) or 1)]
+        for u, p in image.items():
+            for deg, c in p.items():
+                expected[deg][u] = c
+        assert side == expected, words
+        assert all(list(part) == sorted(part) for part in side), words
 
 
 @pytest.mark.parametrize(
